@@ -30,19 +30,15 @@ class BregmanSystem:
     def __init__(self, dim: int,
                  potential: Callable[[Array], float],
                  gradient: Callable[[Array], Array],
-                 hessian: Callable[[Array], Array],
-                 domain_check: Optional[Callable[[Array], bool]] = None):
+                 hessian: Callable[[Array], Array]):
         self.dim = int(dim)
         self._potential = potential
         self._gradient = gradient
         self._hessian = hessian
-        self._domain_check = domain_check
 
     def in_domain(self, theta: Array) -> bool:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,) or not np.all(np.isfinite(theta)):
-            return False
-        return True if self._domain_check is None else bool(self._domain_check(theta))
+        return theta.shape == (self.dim,) and bool(np.all(np.isfinite(theta)))
 
     def potential(self, theta: Array) -> float:
         return float(self._potential(np.asarray(theta, dtype=float)))
@@ -74,10 +70,7 @@ class BregmanSystem:
         def hess(c):
             return gens.T @ parent.hessian(off + gens @ c) @ gens
 
-        check = None
-        if parent._domain_check is not None:
-            check = lambda c: parent.in_domain(off + gens @ c)
-        sub = BregmanSystem(gens.shape[1], pot, grad, hess, check)
+        sub = BregmanSystem(gens.shape[1], pot, grad, hess)
 
         def vg(c):
             f, g = parent.value_grad(off + gens @ c)
@@ -215,8 +208,7 @@ class QuantumSystem(BregmanSystem):
         return QuantumSystem(obs, base)
 
 
-def classical_system(features: Array, base: Optional[Array] = None,
-                     validate: bool = True) -> ClassicalSystem:
+def classical_system(features: Array, base: Optional[Array] = None) -> ClassicalSystem:
     """Build the log-partition system for d feature functions on n points.
 
     The features must be linearly independent and their span must not contain
@@ -226,17 +218,15 @@ def classical_system(features: Array, base: Optional[Array] = None,
     if features.ndim != 2:
         raise InvalidSpecError("features must be an n x d array")
     n, d = features.shape
-    if validate:
-        if np.linalg.matrix_rank(features, tol=1e-10) != d:
-            raise InvalidSpecError("feature functions are linearly dependent")
-        aug = np.hstack([features, np.ones((n, 1))])
-        if np.linalg.matrix_rank(aug, tol=1e-10) != d + 1:
-            raise InvalidSpecError("feature span contains the constant function")
+    if np.linalg.matrix_rank(features, tol=1e-10) != d:
+        raise InvalidSpecError("feature functions are linearly dependent")
+    aug = np.hstack([features, np.ones((n, 1))])
+    if np.linalg.matrix_rank(aug, tol=1e-10) != d + 1:
+        raise InvalidSpecError("feature span contains the constant function")
     return ClassicalSystem(features, base)
 
 
-def quantum_system(observables: Array, base: Optional[Array] = None,
-                   validate: bool = True) -> QuantumSystem:
+def quantum_system(observables: Array, base: Optional[Array] = None) -> QuantumSystem:
     """Build the trace-exponential system for d Hermitian observables.
 
     The observables must be linearly independent and their span must not
@@ -246,17 +236,16 @@ def quantum_system(observables: Array, base: Optional[Array] = None,
     if obs.ndim != 3 or obs.shape[1] != obs.shape[2]:
         raise InvalidSpecError("observables must be a d x n x n array")
     d, n, _ = obs.shape
-    if validate:
-        dev = np.max(np.abs(obs - np.transpose(obs, (0, 2, 1)).conj())) if d else 0.0
-        if dev > 1e-12 * max(1.0, float(np.max(np.abs(obs))) if d else 1.0):
-            raise InvalidSpecError("observables must be Hermitian")
-        vecs = np.concatenate([obs.real.reshape(d, -1), obs.imag.reshape(d, -1)], axis=1)
-        if np.linalg.matrix_rank(vecs, tol=1e-10) != d:
-            raise InvalidSpecError("observables are linearly dependent")
-        eye = np.eye(n).reshape(1, -1)
-        aug = np.vstack([vecs, np.hstack([eye, np.zeros((1, n * n))])])
-        if np.linalg.matrix_rank(aug, tol=1e-10) != d + 1:
-            raise InvalidSpecError("observable span contains the identity")
+    dev = np.max(np.abs(obs - np.transpose(obs, (0, 2, 1)).conj())) if d else 0.0
+    if dev > 1e-12 * max(1.0, float(np.max(np.abs(obs))) if d else 1.0):
+        raise InvalidSpecError("observables must be Hermitian")
+    vecs = np.concatenate([obs.real.reshape(d, -1), obs.imag.reshape(d, -1)], axis=1)
+    if np.linalg.matrix_rank(vecs, tol=1e-10) != d:
+        raise InvalidSpecError("observables are linearly dependent")
+    eye = np.eye(n).reshape(1, -1)
+    aug = np.vstack([vecs, np.hstack([eye, np.zeros((1, n * n))])])
+    if np.linalg.matrix_rank(aug, tol=1e-10) != d + 1:
+        raise InvalidSpecError("observable span contains the identity")
     return QuantumSystem(obs, base)
 
 
@@ -268,14 +257,6 @@ def divergence(sys: BregmanSystem, theta1: Array, theta2: Array) -> float:
         raise DomainError("divergence argument outside the system domain")
     f1, g1 = sys.value_grad(theta1)
     return float(g1 @ (theta1 - theta2) - f1 + sys.potential(theta2))
-
-
-def mixture_param(sys: BregmanSystem, theta: Array) -> Array:
-    """Mixture parameter eta = grad F(theta)."""
-    theta = np.asarray(theta, dtype=float)
-    if not sys.in_domain(theta):
-        raise DomainError("point outside the system domain")
-    return sys.gradient(theta)
 
 
 def natural_param(sys: BregmanSystem, eta: Array,

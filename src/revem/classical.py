@@ -10,12 +10,11 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .bregman import ClassicalSystem, classical_system, natural_param
-from .errors import (DegenerateChannelError, InvalidChannelError,
-                     ProjectionError)
-from .families import ExponentialSubfamily, MixtureSubfamily
-from .numerics import kernel_basis, least_norm_solve, minimize_fgh
-from .reverse_em import ReverseEmProblem, solve_reverse_em
+from .bregman import ClassicalSystem, classical_system
+from .errors import (DegenerateChannelError, InfeasibleSystemError,
+                     InvalidChannelError)
+from .reverse_em import (ReverseEmProblem, build_geometry,
+                         minimize_split_potential, solve_reverse_em)
 
 Array = np.ndarray
 
@@ -23,6 +22,9 @@ Array = np.ndarray
 # support; at the probability-vector tolerance scale of the outcomes.
 NEG_TOL = 1e-9
 
+# Weight of the uniform distribution mixed into every channel (and, for cq
+# channels, of the maximally mixed state) for the geometry only, so that zero
+# entries keep the potentials finite.
 GEOMETRY_REGULARIZATION = 1e-12
 
 
@@ -227,19 +229,18 @@ class ChannelProblem:
         return self.theta_a_uniform + np.log(q[:-1] / q[-1])
 
 
-def build_problem(channel: Channel,
-                  regularization: float = GEOMETRY_REGULARIZATION) -> ChannelProblem:
+def build_problem(channel: Channel) -> ChannelProblem:
     """Construct the Bregman geometry whose mixture family is {W x q} and
     whose exponential family is the product distributions on X x Y.
 
-    Channels with zero entries are mixed with the uniform distribution at the
-    given weight for the geometry only; capacity reports use the raw channel.
+    The geometry uses the channel regularized by GEOMETRY_REGULARIZATION;
+    capacity reports use the raw channel.
     """
     mat = channel.matrix
     n2, n1 = mat.shape
     if n1 < 2 or n2 < 2:
         raise InvalidChannelError("geometry needs at least two inputs and outputs")
-    reg = (1.0 - regularization) * mat + regularization / n2
+    reg = (1.0 - GEOMETRY_REGULARIZATION) * mat + GEOMETRY_REGULARIZATION / n2
 
     f = _difference_duals(reg[:, -1])
     h = reg.T @ f  # (n1, n2 - 1)
@@ -259,43 +260,19 @@ def build_problem(channel: Channel,
             feats[sl, k + x * (n2 - 1):k + (x + 1) * (n2 - 1)] = f
         gens[sl, k:] = f
 
-    sys = classical_system(feats)
-    v_mat, res, *_ = np.linalg.lstsq(feats, gens, rcond=None)
-    if np.max(np.abs(feats @ v_mat - gens)) > 1e-9:
-        raise InvalidChannelError("generator functions escape the feature span")
-
-    family_e = ExponentialSubfamily(v_mat, np.zeros(d))
-    family_m = MixtureSubfamily(np.eye(d), k, np.zeros(d - k))
-
-    delta_feats = np.zeros((n1, k))
-    delta_feats[:k, :] = np.eye(k)
-    sys_ea = classical_system(delta_feats)
-    sys_eb = classical_system(f)
-
-    entropies = np.array([entropy(reg[:, x]) for x in range(n1)])
-    dual_offset = -entropies[:k] + entropies[-1]
-
     joint_uniform = (reg / n1).T.reshape(-1)
-    eta_uniform = feats.T @ joint_uniform
-    theta_uniform = natural_param(sys, eta_uniform, grad_tol=1e-12)
-
-    full_row_rank = np.linalg.matrix_rank(h[:k], tol=1e-10) == k
-    rem = ReverseEmProblem(
-        sys=sys, family_E=family_e, family_M=family_m,
-        theta_tail=theta_uniform[k:],
-        projection_expands=True, mixture_is_exponential=True,
-        leading_identity_block=True, split_potential=True,
-        constant_dual_offset=bool(full_row_rank),
-        split=(sys_ea, sys_eb), dual_offset=dual_offset)
-    return ChannelProblem(channel, reg, rem, theta_uniform[:k], f, h)
+    entropies = np.array([entropy(reg[:, x]) for x in range(n1)])
+    rem, theta_a_uniform = build_geometry(
+        classical_system(feats), feats, gens, k, feats.T @ joint_uniform,
+        (classical_system(f), entropies))
+    return ChannelProblem(channel, reg, rem, theta_a_uniform, f, h)
 
 
 def capacity_iterative(channel: Channel, tol: float = 1e-10,
-                       stepper: str = "natural",
                        max_iter: int = 10000) -> CapacityOutcome:
-    """Reverse-em capacity from the uniform input coordinate."""
+    """Reverse-em capacity from the uniform input coordinate (natural step)."""
     prob = build_problem(channel)
-    trace = solve_reverse_em(prob.rem, prob.theta_a_uniform, stepper=stepper,
+    trace = solve_reverse_em(prob.rem, prob.theta_a_uniform, stepper="natural",
                              tol=tol, max_iter=max_iter)
     q = prob.decode_input(trace.theta_a)
     capacity = mutual_information(channel.matrix, q)
@@ -305,13 +282,34 @@ def capacity_iterative(channel: Channel, tol: float = 1e-10,
                            converged=trace.converged)
 
 
+def special_outcome(subset: Tuple[int, ...], n_inputs: int, columns: Array,
+                    target: Array, value: float) -> CapacityOutcome:
+    """Outcome of a non-iterative candidate ``value`` on an input subset.
+
+    The input weights w solve columns @ w = target with sum(w) = 1 by least
+    squares, where column i is the output of input subset[i]; weights below
+    -NEG_TOL are reported in ``negative_support``.
+    """
+    lhs = np.vstack([columns, np.ones(len(subset))])
+    rhs = np.concatenate([target, [1.0]])
+    weights, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    solve_residual = float(np.linalg.norm(lhs @ weights - rhs))
+    if solve_residual > 1e-8:
+        raise DegenerateChannelError(
+            f"output outside the span of the channel outputs (residual {solve_residual:.3e})")
+    negatives = tuple(subset[i] for i in range(len(subset)) if weights[i] < -NEG_TOL)
+    full_dist = np.zeros(n_inputs)
+    full_dist[list(subset)] = weights
+    return CapacityOutcome(float(value), full_dist, negatives, "noniterative",
+                           residual=solve_residual)
+
+
 def capacity_special(channel: Channel,
-                     input_subset: Optional[Sequence[int]] = None,
-                     neg_tol: float = NEG_TOL) -> CapacityOutcome:
+                     input_subset: Optional[Sequence[int]] = None) -> CapacityOutcome:
     """Non-iterative candidate capacity on a restricted input set.
 
     Returns the candidate value together with the solved input weights; any
-    weights below -neg_tol are reported in ``negative_support`` and signal a
+    weights below -NEG_TOL are reported in ``negative_support`` and signal a
     boundary optimum (the candidate value then only bounds the capacity).
     """
     mat = channel.matrix
@@ -320,50 +318,23 @@ def capacity_special(channel: Channel,
     if len(set(subset)) != len(subset) or any(x < 0 or x >= n1 for x in subset):
         raise InvalidChannelError("input subset must be distinct valid indices")
 
-    full_dist = np.zeros(n1)
     if len(subset) == 1:
+        full_dist = np.zeros(n1)
         full_dist[subset[0]] = 1.0
         return CapacityOutcome(0.0, full_dist, (), "noniterative")
 
     cols = mat[:, subset]
-    sub = Channel(cols)
-    f = find_dual_functions(sub)
+    f = find_dual_functions(Channel(cols))
     moments = cols.T @ f  # (m, n2-1)
-    h_mat = moments[:-1]
     theta_a_dag = np.array([-entropy(cols[:, i]) + entropy(cols[:, -1])
                             for i in range(len(subset) - 1)])
-    try:
-        theta_b = least_norm_solve(h_mat, theta_a_dag)
-    except Exception as exc:
-        raise DegenerateChannelError(f"moment system unsolvable: {exc}") from exc
-    kernel = kernel_basis(h_mat)
     sys_eb = classical_system(f)
-
-    if kernel.shape[1] > 0:
-        def fgh(te):
-            val, grad, hess = sys_eb.value_grad_hess(theta_b + kernel @ te)
-            return val, kernel.T @ grad, kernel.T @ hess @ kernel
-
-        res = minimize_fgh(fgh, np.zeros(kernel.shape[1]),
-                           value_only=lambda te: sys_eb.potential(theta_b + kernel @ te))
-        if not res.converged:
-            raise ProjectionError("output-side minimization stalled")
-        theta_b = theta_b + kernel @ res.point
-
-    out_dist = sys_eb.distribution(theta_b)
-    lhs = np.vstack([cols, np.ones(len(subset))])
-    rhs = np.concatenate([out_dist, [1.0]])
-    weights, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    solve_residual = float(np.linalg.norm(lhs @ weights - rhs))
-    if solve_residual > 1e-8:
-        raise DegenerateChannelError(
-            f"output distribution outside the channel span (residual {solve_residual:.3e})")
-
+    try:
+        theta_b = minimize_split_potential(sys_eb, moments[:-1], theta_a_dag)
+    except InfeasibleSystemError as exc:
+        raise DegenerateChannelError(f"moment system unsolvable: {exc}") from exc
     value = -entropy(cols[:, -1]) + sys_eb.potential(theta_b)
-    negatives = tuple(subset[i] for i in range(len(subset)) if weights[i] < -neg_tol)
-    full_dist[list(subset)] = weights
-    return CapacityOutcome(float(value), full_dist, negatives, "noniterative",
-                           residual=solve_residual)
+    return special_outcome(subset, n1, cols, sys_eb.distribution(theta_b), value)
 
 
 def subset_recursion(n_inputs: int,
@@ -415,7 +386,7 @@ def subset_recursion(n_inputs: int,
     return best
 
 
-def capacity_general(channel: Channel, neg_tol: float = NEG_TOL) -> CapacityOutcome:
+def capacity_general(channel: Channel) -> CapacityOutcome:
     """Non-iterative capacity for general channels (boundary optima included).
 
     Exact duplicate input columns are merged (the reported distribution puts
@@ -436,7 +407,7 @@ def capacity_general(channel: Channel, neg_tol: float = NEG_TOL) -> CapacityOutc
 
     result = subset_recursion(
         reduced.n_inputs,
-        lambda sub: capacity_special(reduced, sub, neg_tol=neg_tol))
+        lambda sub: capacity_special(reduced, sub))
     dist = np.zeros(n1)
     dist[list(keep)] = result.input_distribution
     return CapacityOutcome(result.capacity, dist, tuple(

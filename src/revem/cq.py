@@ -9,15 +9,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bregman import classical_system, natural_param, quantum_system
-from .classical import CapacityOutcome, subset_recursion
-from .errors import (DegenerateChannelError, DomainError, InvalidChannelError,
-                     ProjectionError)
-from .families import ExponentialSubfamily, MixtureSubfamily
-from .numerics import EIGEN_FLOOR, kernel_basis, least_norm_solve, minimize_fgh
-from .reverse_em import ReverseEmProblem, solve_reverse_em
+from .bregman import quantum_system
+from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome,
+                        special_outcome, subset_recursion)
+from .errors import DegenerateChannelError, DomainError, InvalidChannelError
+from .numerics import maximize_on_unit_interval
+from .reverse_em import (ReverseEmProblem, build_geometry,
+                         minimize_split_potential, solve_reverse_em)
 
 Array = np.ndarray
+
+# Relative floor below which eigenvalues are treated as zero rank; density
+# matrices may be numerically rank-deficient.
+EIGEN_FLOOR = 1e-14
 
 
 @dataclass(eq=False)
@@ -137,17 +141,18 @@ def _regularize(states: Array, weight: float) -> Array:
     return (1.0 - weight) * states + weight * np.eye(dim)[None, :, :] / dim
 
 
-def build_problem(channel: CQChannel, regularization: float = 1e-12) -> CQProblem:
+def build_problem(channel: CQChannel) -> CQProblem:
     """Geometry on the joint classical-quantum system C x H_A.
 
     The exponential family is the product states; the mixture family decodes
     to the classical-quantum states of the channel.  Rank-deficient inputs
-    are regularized toward the maximally mixed state for the geometry only.
+    are regularized toward the maximally mixed state, at weight
+    GEOMETRY_REGULARIZATION, for the geometry only.
     """
     n1, n2 = channel.n_inputs, channel.dim
     if n1 < 2:
         raise InvalidChannelError("need at least two inputs")
-    reg = _regularize(channel.states, regularization)
+    reg = _regularize(channel.states, GEOMETRY_REGULARIZATION)
 
     obs = _observable_basis(reg[-1])  # (n2^2-1, n2, n2)
     n_obs = obs.shape[0]
@@ -184,43 +189,22 @@ def build_problem(channel: CQChannel, regularization: float = 1e-12) -> CQProble
         gens_ops.append(np.kron(np.eye(n1, dtype=complex), obs[j]))
     gens_ops = np.asarray(gens_ops)
 
-    # Solve for the generator coordinates in the xi basis (real lstsq on
-    # stacked real/imaginary parts).
+    # The generators are fitted in the xi basis on the real vectors of the
+    # operators (stacked real and imaginary parts).
     xi_vecs = np.concatenate([xis.real.reshape(d, -1),
                               xis.imag.reshape(d, -1)], axis=1).T
     g_vecs = np.concatenate([gens_ops.real.reshape(l, -1),
                              gens_ops.imag.reshape(l, -1)], axis=1).T
-    v_mat, *_ = np.linalg.lstsq(xi_vecs, g_vecs, rcond=None)
-    if np.max(np.abs(xi_vecs @ v_mat - g_vecs)) > 1e-9:
-        raise InvalidChannelError("generator operators escape the observable span")
-
-    sys = quantum_system(xis)
-    family_e = ExponentialSubfamily(v_mat, np.zeros(d))
-    family_m = MixtureSubfamily(np.eye(d), k, np.zeros(d - k))
-
-    delta_feats = np.zeros((n1, k))
-    delta_feats[:k, :] = np.eye(k)
-    sys_ea = classical_system(delta_feats)
-    sys_eb = quantum_system(obs)
-
-    entropies = np.array([von_neumann_entropy(reg[i]) for i in range(n1)])
-    dual_offset = -entropies[:k] + entropies[-1]
 
     rho_uniform = np.zeros((dim_joint, dim_joint), dtype=complex)
     for i in range(n1):
         rho_uniform += embed(i, reg[i]) / n1
-    eta_uniform = np.einsum("mab,ba->m", xis, rho_uniform).real
-    theta_uniform = natural_param(sys, eta_uniform, grad_tol=1e-12)
-
-    full_row_rank = np.linalg.matrix_rank(h[:k], tol=1e-10) == k
-    rem = ReverseEmProblem(
-        sys=sys, family_E=family_e, family_M=family_m,
-        theta_tail=theta_uniform[k:],
-        projection_expands=True, mixture_is_exponential=True,
-        leading_identity_block=True, split_potential=True,
-        constant_dual_offset=bool(full_row_rank),
-        split=(sys_ea, sys_eb), dual_offset=dual_offset)
-    return CQProblem(channel, reg, rem, theta_uniform[:k])
+    entropies = np.array([von_neumann_entropy(reg[i]) for i in range(n1)])
+    rem, theta_a_uniform = build_geometry(
+        quantum_system(xis), xi_vecs, g_vecs, k,
+        np.einsum("mab,ba->m", xis, rho_uniform).real,
+        (quantum_system(obs), entropies))
+    return CQProblem(channel, reg, rem, theta_a_uniform)
 
 
 def capacity_cq_iterative(channel: CQChannel, tol: float = 1e-10,
@@ -238,8 +222,7 @@ def capacity_cq_iterative(channel: CQChannel, tol: float = 1e-10,
 
 
 def cq_capacity_special(channel: CQChannel,
-                        input_subset: Optional[Sequence[int]] = None,
-                        neg_tol: float = 1e-9) -> CapacityOutcome:
+                        input_subset: Optional[Sequence[int]] = None) -> CapacityOutcome:
     """Non-iterative candidate value on a restricted input set.
 
     The quantum analogue of the classical special-case algorithm: one convex
@@ -251,8 +234,8 @@ def cq_capacity_special(channel: CQChannel,
     if len(set(subset)) != len(subset) or any(x < 0 or x >= n1 for x in subset):
         raise InvalidChannelError("input subset must be distinct valid indices")
 
-    full_dist = np.zeros(n1)
     if len(subset) == 1:
+        full_dist = np.zeros(n1)
         full_dist[subset[0]] = 1.0
         return CapacityOutcome(0.0, full_dist, (), "noniterative")
 
@@ -267,75 +250,25 @@ def cq_capacity_special(channel: CQChannel,
     theta_a_dag = np.array([-von_neumann_entropy(states[i])
                             + von_neumann_entropy(states[-1])
                             for i in range(m - 1)])
-    theta_b = least_norm_solve(h_mat, theta_a_dag)
-    kernel = kernel_basis(h_mat)
     sys_eb = quantum_system(obs)
-
-    if kernel.shape[1] > 0:
-        def fgh(te):
-            val, grad, hess = sys_eb.value_grad_hess(theta_b + kernel @ te)
-            return val, kernel.T @ grad, kernel.T @ hess @ kernel
-
-        res = minimize_fgh(fgh, np.zeros(kernel.shape[1]),
-                           value_only=lambda te: sys_eb.potential(theta_b + kernel @ te))
-        if not res.converged:
-            raise ProjectionError("output-side minimization stalled")
-        theta_b = theta_b + kernel @ res.point
-
+    theta_b = minimize_split_potential(sys_eb, h_mat, theta_a_dag)
     sigma = sys_eb.state(theta_b)
-    dim = channel.dim
-    lhs = np.zeros((2 * dim * dim + 1, m))
-    for i in range(m):
-        lhs[:dim * dim, i] = states[i].real.reshape(-1)
-        lhs[dim * dim:2 * dim * dim, i] = states[i].imag.reshape(-1)
-    lhs[-1, :] = 1.0
-    rhs = np.concatenate([sigma.real.reshape(-1), sigma.imag.reshape(-1), [1.0]])
-    weights, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    solve_residual = float(np.linalg.norm(lhs @ weights - rhs))
-    if solve_residual > 1e-8:
-        raise DegenerateChannelError(
-            f"reference state outside the channel span (residual {solve_residual:.3e})")
-
+    columns = np.concatenate([states.real.reshape(m, -1),
+                              states.imag.reshape(m, -1)], axis=1).T
+    target = np.concatenate([sigma.real.reshape(-1), sigma.imag.reshape(-1)])
     value = -von_neumann_entropy(states[-1]) + sys_eb.potential(theta_b)
-    negatives = tuple(subset[i] for i in range(m) if weights[i] < -neg_tol)
-    full_dist[list(subset)] = weights
-    return CapacityOutcome(float(value), full_dist, negatives, "noniterative",
-                           residual=solve_residual)
+    return special_outcome(subset, n1, columns, target, value)
 
 
-def capacity_cq_noniterative(channel: CQChannel,
-                             neg_tol: float = 1e-9) -> CapacityOutcome:
+def capacity_cq_noniterative(channel: CQChannel) -> CapacityOutcome:
     """Non-iterative cq capacity with the boundary-subset recursion."""
     return subset_recursion(
-        channel.n_inputs,
-        lambda sub: cq_capacity_special(channel, sub, neg_tol=neg_tol))
+        channel.n_inputs, lambda sub: cq_capacity_special(channel, sub))
 
 
 def holevo_oracle(channel: CQChannel, grid_points: int = 2000) -> float:
     """Grid-plus-refinement maximization of the Holevo quantity (n1 = 2)."""
     if channel.n_inputs != 2:
         raise InvalidChannelError("the 1-d oracle needs exactly two inputs")
-    grid = np.linspace(0.0, 1.0, grid_points + 1)
-    vals = [holevo(np.array([s, 1 - s]), channel) for s in grid]
-    s = grid[int(np.argmax(vals))]
-    a = max(s - 2.0 / grid_points, 0.0)
-    b = min(s + 2.0 / grid_points, 1.0)
-    inv_phi = (np.sqrt(5) - 1) / 2
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-
-    def val(x):
-        return holevo(np.array([x, 1 - x]), channel)
-
-    fc, fd = val(c), val(d)
-    for _ in range(200):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = val(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = val(c)
-        if b - a < 1e-12:
-            break
-    return float(val(0.5 * (a + b)))
+    return maximize_on_unit_interval(
+        lambda s: holevo(np.array([s, 1 - s]), channel), grid_points)

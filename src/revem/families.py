@@ -9,7 +9,7 @@ Newton machinery of ``bregman.natural_param``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class ExponentialSubfamily:
             raise InvalidSpecError("offset dimension does not match generators")
         if np.linalg.matrix_rank(self.generators, tol=1e-10) != l:
             raise InvalidSpecError("generator columns are linearly dependent")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.generators.shape[0]
 
     @property
     def dim(self) -> int:
@@ -75,29 +71,8 @@ class MixtureSubfamily:
         if not np.isfinite(self.condition_number):
             raise InvalidSpecError("basis is singular")
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    def constraint_residual(self, sys: BregmanSystem, theta: Array) -> float:
-        """Max violation of the defining mixture constraints at theta."""
-        lhs = self.basis[:, self.free_count:].T @ sys.gradient(theta)
-        return float(np.max(np.abs(lhs - self.targets))) if self.targets.size else 0.0
-
-
-def restricted_system(sys: BregmanSystem, family: ExponentialSubfamily) -> BregmanSystem:
-    """Bregman system of the subfamily: coords -> F(ambient(coords))."""
-    return sys.restrict(family.generators, family.offset)
-
-
-def exp_restricted_potential(sys: BregmanSystem, family: ExponentialSubfamily,
-                             coords: Array) -> float:
-    """Potential of the subfamily member with the given coordinates."""
-    return sys.potential(family.ambient(coords))
-
 
 def m_projection(sys: BregmanSystem, family: ExponentialSubfamily, theta: Array,
-                 coords_init: Optional[Array] = None,
                  grad_tol: float = 1e-10) -> Tuple[Array, Array]:
     """Divergence-minimizing member of the exponential subfamily from theta.
 
@@ -106,10 +81,10 @@ def m_projection(sys: BregmanSystem, family: ExponentialSubfamily, theta: Array,
     """
     theta = np.asarray(theta, dtype=float)
     target = family.generators.T @ sys.gradient(theta)
-    sub = restricted_system(sys, family)
-    init = family.coords(theta) if coords_init is None else coords_init
+    sub = sys.restrict(family.generators, family.offset)
     try:
-        coords = natural_param(sub, target, theta_init=init, grad_tol=grad_tol)
+        coords = natural_param(sub, target, theta_init=family.coords(theta),
+                               grad_tol=grad_tol)
     except ImageMembershipError as exc:
         raise ProjectionError(f"m-projection failed: {exc}") from exc
     return coords, family.ambient(coords)

@@ -1,5 +1,6 @@
-"""Shared numerical kernels: smooth convex minimization, Hermitian matrix
-functions, kernel bases and least-norm solves.
+"""Shared numerical kernels: smooth convex minimization, kernel bases,
+least-norm solves and the 1-d grid-plus-golden-section maximizer of the
+two-input oracles.
 
 Everything here is a pure function of its inputs; no shared mutable state.
 """
@@ -11,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, InfeasibleSystemError, NumericalError
+from .errors import InfeasibleSystemError, NumericalError
 
 DEFAULT_GRAD_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -132,74 +133,6 @@ def minimize_fgh(
     return Minimizer(x, float(f), gnorm, iterations, gnorm <= grad_tol)
 
 
-def minimize_convex(
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    hessian: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Minimizer:
-    """Minimize a smooth convex function given separate derivative callbacks.
-
-    Damped Newton with Cholesky-factored Hessians and Armijo backtracking
-    (factor 0.5, slope parameter 1e-4); returns the first iterate whose
-    gradient norm is below ``grad_tol``, or the best iterate found with
-    ``converged=False`` after ``max_iter`` steps.
-    """
-    if grad_tol <= 0:
-        raise ValueError("grad_tol must be positive")
-
-    def fgh(x):
-        return (objective(x), np.asarray(gradient(x), dtype=float),
-                np.asarray(hessian(x), dtype=float))
-
-    return minimize_fgh(fgh, x0, grad_tol=grad_tol, max_iter=max_iter,
-                        value_only=objective)
-
-
-def _as_hermitian(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError("expected a square matrix")
-    dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
-    if dev > tol * scale:
-        raise DomainError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    return 0.5 * (mat + mat.conj().T)
-
-
-def hermitian_exp(mat: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix via eigendecomposition."""
-    herm = _as_hermitian(mat)
-    if not np.all(np.isfinite(herm)):
-        raise NumericalError("non-finite entries in hermitian_exp input")
-    try:
-        evals, evecs = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    return (evecs * np.exp(evals)) @ evecs.conj().T
-
-
-# Relative floor below which eigenvalues are treated as zero rank; density
-# matrices from the cq module may be numerically rank-deficient.
-EIGEN_FLOOR = 1e-14
-
-
-def hermitian_log(mat: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm of a positive definite Hermitian matrix."""
-    herm = _as_hermitian(mat)
-    try:
-        evals, evecs = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    floor = EIGEN_FLOOR * float(evals[-1]) if evals.size else 0.0
-    if evals.size == 0 or evals[0] <= floor or evals[-1] <= 0.0:
-        raise DomainError(
-            f"matrix is not positive definite (min eigenvalue {evals[0]:.3e})")
-    return (evecs * np.log(evals)) @ evecs.conj().T
-
-
 def kernel_basis(mat: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the null space of ``mat`` as a q x r matrix.
 
@@ -236,3 +169,29 @@ def least_norm_solve(mat: np.ndarray, rhs: np.ndarray,
         raise InfeasibleSystemError(
             f"right-hand side outside column space (residual {residual:.3e})")
     return x
+
+
+def maximize_on_unit_interval(value: Callable[[float], float],
+                              grid_points: int) -> float:
+    """Maximum of ``value`` on [0, 1]: the best of ``grid_points + 1`` grid
+    points, refined by golden-section search on the two grid cells around it.
+    """
+    grid = np.linspace(0.0, 1.0, grid_points + 1)
+    s = grid[int(np.argmax([value(x) for x in grid]))]
+    a = max(s - 2.0 / grid_points, 0.0)
+    b = min(s + 2.0 / grid_points, 1.0)
+    inv_phi = (np.sqrt(5) - 1) / 2
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = value(c), value(d)
+    for _ in range(200):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = value(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = value(c)
+        if b - a < 1e-12:
+            break
+    return float(value(0.5 * (a + b)))

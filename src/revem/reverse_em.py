@@ -1,12 +1,19 @@
 """Reverse em-problem engine: maximize over a mixture subfamily the minimum
 Bregman divergence to an exponential subfamily.
 
-The mixture subfamily is assumed to carry a compatible exponential structure
-(a basis U and a fixed trailing natural-parameter block), which makes the
-composed projection map invertible; the solvers here iterate that inverse map
-in several parameterizations, convert the problem to an ordinary alternating
-minimization between two auxiliary families, or, under a product-split of the
-exponential potential, solve it by a single convex minimization.
+The mixture subfamily carries a compatible exponential structure (a basis U
+and a fixed trailing natural-parameter block), which makes the composed
+projection map invertible.  Three routes solve the problem:
+
+* iterating that inverse map in mixture, natural or eps-approximate form;
+* em conversion: ``em_minimize`` (alternating e/m projections) on the
+  auxiliary families of a product system, then a Newton polish of their
+  intersection;
+* under a product split of the exponential potential, one convex
+  minimization of the second split potential over the kernel of the dual
+  moment matrix (``minimize_split_potential``).
+
+``build_geometry`` assembles the problem shared by the capacity modules.
 """
 from __future__ import annotations
 
@@ -16,41 +23,40 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from .bregman import BregmanSystem, divergence, natural_param
+from .bregman import BregmanSystem, classical_system, divergence, natural_param
 from .errors import (ConditionViolationError, ImageMembershipError,
-                     ProjectionError, RevemError)
+                     InvalidChannelError, ProjectionError, RevemError)
 from .families import (ExponentialSubfamily, MixtureSubfamily, e_projection,
                        m_projection)
 from .numerics import kernel_basis, least_norm_solve, minimize_fgh
 
 Array = np.ndarray
 
-STEPPERS = ("mixture", "natural", "eps", "quadratic")
+STEPPERS = ("mixture", "natural", "eps")
 
 
 @dataclass(eq=False)
 class ReverseEmProblem:
-    """A paired (mixture, exponential) instance with its structure flags.
+    """A paired (mixture, exponential) instance.
 
     ``family_M`` must coincide with the affine slice
-    {U @ (theta_a, theta_tail)} of natural-parameter space; the boolean
-    flags record which structural properties the caller asserts (the
-    capacity modules establish them constructively).
+    {U @ (theta_a, theta_tail)} of natural-parameter space.  ``split`` is
+    the product split (F_a, F_b) of the exponential potential, given with
+    the constant ``dual_offset`` between the two dual coordinate maps.
+    ``leading_identity_block`` records whether the leading k x k block of
+    the dual matrix is the identity (within 1e-12), which the natural step
+    and the non-iterative method need.
     """
 
     sys: BregmanSystem
     family_E: ExponentialSubfamily
     family_M: MixtureSubfamily
     theta_tail: Array
-    projection_expands: bool = True
-    mixture_is_exponential: bool = True
-    leading_identity_block: bool = False
-    split_potential: bool = False
-    constant_dual_offset: bool = False
     split: Optional[Tuple[BregmanSystem, BregmanSystem]] = None
     dual_offset: Optional[Array] = None
 
     dual_matrix: Array = field(init=False)
+    leading_identity_block: bool = field(init=False)
     E_system: BregmanSystem = field(init=False)
     M_system: BregmanSystem = field(init=False)
 
@@ -60,15 +66,10 @@ class ReverseEmProblem:
         k = self.family_M.free_count
         v = self.family_E.generators
         self.dual_matrix = np.linalg.solve(u, v)[:k, :]
-        if self.leading_identity_block:
-            dev = np.max(np.abs(self.dual_matrix[:, :k] - np.eye(k)))
-            if dev > 1e-12:
-                raise ConditionViolationError(
-                    "leading_identity_block flagged but the leading block "
-                    f"deviates from I by {dev:.3e}")
-        if self.split_potential and self.split is None:
-            raise ConditionViolationError(
-                "split_potential flagged without the split systems")
+        lead = self.dual_matrix[:, :k]
+        self.leading_identity_block = bool(
+            lead.shape == (k, k)
+            and np.max(np.abs(lead - np.eye(k)), initial=0.0) <= 1e-12)
         self.E_system = self.sys.restrict(v, self.family_E.offset)
         m_offset = u @ np.concatenate([np.zeros(k), self.theta_tail])
         self.M_system = self.sys.restrict(u[:, :k], m_offset)
@@ -179,24 +180,34 @@ def _objective_and_residual(p: ReverseEmProblem, theta_a: Array,
     return obj, residual, theta_c
 
 
-def em_minimize(p: ReverseEmProblem, theta_init: Array, tol: float = 1e-12,
-                max_iter: int = 5000) -> EmResult:
+_EM_NORM_GUARD = 200.0
+
+
+def em_minimize(sys: BregmanSystem, family_M: MixtureSubfamily,
+                family_E: ExponentialSubfamily, theta_init: Array,
+                tol: float = 1e-12, max_iter: int = 5000) -> EmResult:
     """Alternating e-/m-projections minimizing the divergence between the
-    mixture and exponential subfamilies; returns the minimized divergence."""
+    mixture and exponential subfamilies; returns the minimized divergence.
+
+    Stops unconverged as soon as the mixture iterate leaves the box
+    |theta| <= _EM_NORM_GUARD: the families then do not meet and the
+    iterates drift off to infinity.  A failed projection raises
+    ProjectionError.
+    """
     theta_e = np.asarray(theta_init, dtype=float)
     gap = np.inf
     converged = False
     theta_m = theta_e
     it = 0
     for it in range(1, max_iter + 1):
-        theta_m = e_projection(p.sys, p.family_M, theta_e)
-        _, theta_e = m_projection(p.sys, p.family_E, theta_m)
-        new_gap = divergence(p.sys, theta_m, theta_e)
-        if abs(gap - new_gap) < tol:
-            gap = new_gap
-            converged = True
-            break
+        theta_m = e_projection(sys, family_M, theta_e)
+        _, theta_e = m_projection(sys, family_E, theta_m)
+        new_gap = divergence(sys, theta_m, theta_e)
+        diverged = np.max(np.abs(theta_m)) > _EM_NORM_GUARD
+        converged = not diverged and abs(gap - new_gap) < tol
         gap = new_gap
+        if diverged or converged:
+            break
     return EmResult(float(gap), theta_m, theta_e, it, converged)
 
 
@@ -214,16 +225,23 @@ class _LegendreCache:
         return theta
 
 
-def _mixture_inner(p: ReverseEmProblem, theta_a: Array, eta_init: Array,
-                   cache: _LegendreCache, grad_tol: float = 1e-9,
-                   extra_stop=None):
-    """Minimize F_E*(eta_hat dual_matrix) - <eta_hat, theta_a> over eta_hat in R^k.
+def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
+                       state: Optional[Dict], extra_stop=None) -> Array:
+    """The inverse map through the dual problem: minimize
+    F_E*(eta_hat dual_matrix) - <eta_hat, theta_a> over eta_hat in R^k, then
+    invert the mixture-family gradient map at the minimizer.
 
-    The inner gradient-map inversions are solved one decade tighter than the
-    outer tolerance so their error does not dominate the outer gradient.
+    The inner gradient-map inversions are solved two decades tighter than
+    the dual minimization so their error does not dominate its gradient.
     """
-    dual = p.dual_matrix
+    grad_tol = 1e-9
+    state = {} if state is None else state
+    cache = state.setdefault("legendre", _LegendreCache(p.E_system))
     theta_a = np.asarray(theta_a, dtype=float)
+    eta_init = state.get("eta_hat")
+    if eta_init is None:
+        eta_init = p.M_system.gradient(theta_a)
+    dual = p.dual_matrix
     memo: Dict = {"key": None}
 
     def solve_c(eta_hat):
@@ -256,24 +274,14 @@ def _mixture_inner(p: ReverseEmProblem, theta_a: Array, eta_init: Array,
     if not res.converged:
         raise ProjectionError(
             f"inner dual minimization stalled (gradient norm {res.gradient_norm:.3e})")
-    return res.point, solve_c(res.point)
+    state["eta_hat"] = res.point
+    return natural_param(p.M_system, res.point, theta_init=theta_a)
 
 
 def inverse_step_mixture(p: ReverseEmProblem, theta_a: Array,
                          state: Optional[Dict] = None) -> Array:
     """One application of the inverse projection map in mixture parameters."""
-    if not p.mixture_is_exponential:
-        raise ConditionViolationError(
-            "mixture step needs the exponential structure of the mixture family")
-    state = {} if state is None else state
-    cache = state.setdefault("legendre", _LegendreCache(p.E_system))
-    eta_init = state.get("eta_hat")
-    if eta_init is None:
-        eta_init = p.M_system.gradient(np.asarray(theta_a, dtype=float))
-    eta_hat, _ = _mixture_inner(p, theta_a, eta_init, cache)
-    state["eta_hat"] = eta_hat
-    theta_new = natural_param(p.M_system, eta_hat, theta_init=theta_a)
-    return theta_new
+    return _inverse_step_dual(p, theta_a, state)
 
 
 def inverse_step_eps(p: ReverseEmProblem, theta_a: Array, eps: float,
@@ -282,11 +290,6 @@ def inverse_step_eps(p: ReverseEmProblem, theta_a: Array, eps: float,
     strong-convexity certificate |g|^2 / (2 lambda_min(H)) drops below eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    state = {} if state is None else state
-    cache = state.setdefault("legendre", _LegendreCache(p.E_system))
-    eta_init = state.get("eta_hat")
-    if eta_init is None:
-        eta_init = p.M_system.gradient(np.asarray(theta_a, dtype=float))
 
     def certificate(_x, _f, g, h):
         lam = float(np.linalg.eigvalsh(h)[0])
@@ -294,9 +297,7 @@ def inverse_step_eps(p: ReverseEmProblem, theta_a: Array, eps: float,
             return False
         return float(g @ g) / (2.0 * lam) <= eps
 
-    eta_hat, _ = _mixture_inner(p, theta_a, eta_init, cache, extra_stop=certificate)
-    state["eta_hat"] = eta_hat
-    return natural_param(p.M_system, eta_hat, theta_init=theta_a)
+    return _inverse_step_dual(p, theta_a, state, extra_stop=certificate)
 
 
 def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
@@ -307,10 +308,8 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
     exponential potential splits as a product, the inner minimization
     separates into the two split potentials.
     """
-    if not (p.mixture_is_exponential and p.leading_identity_block):
-        raise ConditionViolationError(
-            "natural step needs the exponential mixture structure and the "
-            "identity leading block")
+    if not p.leading_identity_block:
+        raise ConditionViolationError("natural step needs the identity leading block")
     state = {} if state is None else state
     theta_a = np.asarray(theta_a, dtype=float)
     tail = p.dual_tail
@@ -356,36 +355,9 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
     return natural_param(p.M_system, eta_a_new, theta_init=theta_a)
 
 
-def quadratic_step(p: ReverseEmProblem, theta_a: Array,
-                   state: Optional[Dict] = None) -> Array:
-    """Second-order approximation of the inner dual minimizer: one Newton
-    step of the dual objective from the current mixture parameter.
-
-    Returns the approximate mixture parameter; exact at a fixed point, and
-    accurate to second order in the distance from one.
-    """
-    if not p.mixture_is_exponential:
-        raise ConditionViolationError(
-            "quadratic step needs the exponential structure of the mixture family")
-    state = {} if state is None else state
-    theta_a = np.asarray(theta_a, dtype=float)
-    eta_bar = p.M_system.gradient(theta_a)
-    cache = state.setdefault("legendre", _LegendreCache(p.E_system))
-    theta_c = cache.solve(p.dual_matrix.T @ eta_bar)
-    j_e = p.E_system.hessian(theta_c)
-    c, low = scipy.linalg.cho_factor(j_e, check_finite=False)
-    d_mat = p.dual_matrix @ scipy.linalg.cho_solve((c, low), p.dual_matrix.T,
-                                                   check_finite=False)
-    correction = np.linalg.solve(d_mat, p.dual_matrix @ theta_c - theta_a)
-    return eta_bar - correction
-
-
 def fixed_point_residual(p: ReverseEmProblem, theta_a: Array,
                          state: Optional[Dict] = None) -> float:
     """Norm of the invariance defect of theta_a under the projection pair."""
-    if not p.mixture_is_exponential:
-        raise ConditionViolationError(
-            "fixed-point test needs the exponential structure of the mixture family")
     state = {} if state is None else state
     _, residual, _ = _objective_and_residual(p, np.asarray(theta_a, dtype=float), state)
     return residual
@@ -425,11 +397,8 @@ def solve_reverse_em(p: ReverseEmProblem, theta_init: Array,
             theta_a = inverse_step_mixture(p, theta_a, state)
         elif stepper == "natural":
             theta_a = inverse_step_natural(p, theta_a, state)
-        elif stepper == "eps":
-            theta_a = inverse_step_eps(p, theta_a, eps, state)
         else:
-            eta_hat = quadratic_step(p, theta_a, state)
-            theta_a = natural_param(p.M_system, eta_hat, theta_init=theta_a)
+            theta_a = inverse_step_eps(p, theta_a, eps, state)
 
     best = int(np.argmax(objectives)) if stepper == "eps" else len(objectives) - 1
     theta_best = iterates[best]
@@ -482,50 +451,33 @@ class _ProductSystem(BregmanSystem):
         return (fa + fb, np.concatenate([ga, gb]), scipy.linalg.block_diag(ha, hb))
 
 
-_EM_NORM_GUARD = 200.0
-
-
 def em_conversion(p: ReverseEmProblem, tol: float = 1e-13,
                   max_iter: int = 20000) -> EmConversionResult:
     """Convert the maximization to an intersection search between auxiliary
     mixture/exponential subfamilies of the product system and solve it by
-    alternating projections (with a final Newton polish of the intersection
+    ``em_minimize`` (with a final Newton polish of the intersection
     equation)."""
-    if not (p.projection_expands and p.mixture_is_exponential):
-        raise ConditionViolationError(
-            "em conversion needs the projection-expansion property and the "
-            "exponential mixture structure")
     k, l = p.k, p.l
     prod = _ProductSystem(p.M_system, p.E_system)
     u_hat = np.block([[np.eye(k), p.dual_matrix], [np.zeros((l, k)), -np.eye(l)]])
     m_hat = MixtureSubfamily(u_hat, k, np.zeros(l))
     e_hat = ExponentialSubfamily(np.vstack([p.dual_matrix, np.eye(l)]), np.zeros(k + l))
 
-    x_e = np.zeros(k + l)
-    gap = np.inf
-    status = "max_iter"
-    it = 0
-    for it in range(1, max_iter + 1):
-        try:
-            x_m = e_projection(prod, m_hat, x_e)
-            _, x_e = m_projection(prod, e_hat, x_m)
-        except ProjectionError as exc:
-            return EmConversionResult(False, None, None, None, float(gap), it,
-                                      f"projection failure: {exc}")
-        new_gap = divergence(prod, x_m, x_e)
-        if np.max(np.abs(x_m)) > _EM_NORM_GUARD:
-            return EmConversionResult(False, None, None, None, float(new_gap), it,
-                                      "iterates diverged: families do not intersect")
-        if abs(gap - new_gap) < tol:
-            gap = new_gap
-            status = "converged"
-            break
-        gap = new_gap
-
-    theta_c = x_e[k:]
+    try:
+        run = em_minimize(prod, m_hat, e_hat, np.zeros(k + l), tol=tol,
+                          max_iter=max_iter)
+    except ProjectionError as exc:
+        return EmConversionResult(False, None, None, None, np.inf, 0,
+                                  f"projection failure: {exc}")
+    gap, it = run.c_inf, run.iterations
+    if np.max(np.abs(run.theta_M)) > _EM_NORM_GUARD:
+        return EmConversionResult(False, None, None, None, gap, it,
+                                  "iterates diverged: families do not intersect")
+    status = "converged" if run.converged else "max_iter"
+    theta_c = run.theta_E[k:]
     polished = _polish_intersection(p, theta_c)
     if polished is None:
-        return EmConversionResult(False, None, None, None, float(gap), it,
+        return EmConversionResult(False, None, None, None, gap, it,
                                   f"intersection polish failed ({status})")
     theta_c = polished
     # A genuine (transversal) intersection has a regular defining Jacobian;
@@ -535,12 +487,12 @@ def em_conversion(p: ReverseEmProblem, tol: float = 1e-13,
            - p.E_system.hessian(theta_c))
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals[-1] <= 1e-8 * svals[0]:
-        return EmConversionResult(False, None, None, None, float(gap), it,
+        return EmConversionResult(False, None, None, None, gap, it,
                                   "degenerate intersection: supremum not attained "
                                   "in the interior")
     theta_a = p.dual_matrix @ theta_c
     capacity = divergence(p.sys, p.m_ambient(theta_a), p.e_ambient(theta_c))
-    return EmConversionResult(True, float(capacity), theta_a, theta_c, float(gap), it)
+    return EmConversionResult(True, float(capacity), theta_a, theta_c, gap, it)
 
 
 def _polish_intersection(p: ReverseEmProblem, theta_c: Array,
@@ -589,10 +541,11 @@ def _polish_intersection(p: ReverseEmProblem, theta_c: Array,
 def compute_dual_offset(p: ReverseEmProblem, n_checks: int = 3,
                          rng: Optional[np.random.Generator] = None,
                          check_tol: float = 1e-8) -> Array:
-    """Offset between the two dual coordinate maps (constant when flagged).
+    """Offset between the two dual coordinate maps, measured numerically.
 
     Evaluated at ``n_checks`` mixture parameters; inconsistency raises
-    ConditionViolationError.
+    ConditionViolationError.  The reference for the closed-form offset that
+    ``build_geometry`` derives from the input entropies.
     """
     if p.split is None:
         raise ConditionViolationError("the dual offset needs the split potentials")
@@ -612,47 +565,49 @@ def compute_dual_offset(p: ReverseEmProblem, n_checks: int = 3,
     return values[0]
 
 
-def non_iterative(p: ReverseEmProblem,
-                  rng: Optional[np.random.Generator] = None) -> NonIterativeResult:
+def minimize_split_potential(sys_b: BregmanSystem, mat: Array, rhs: Array) -> Array:
+    """Minimizer of the split potential F_b over {theta_b : mat @ theta_b = rhs}.
+
+    The least-norm solution plus a convex minimization over the kernel of
+    ``mat``; this single minimization is the whole non-iterative method.
+    Raises InfeasibleSystemError when rhs is outside the column space.
+    """
+    theta_b0 = least_norm_solve(mat, rhs)
+    kernel = kernel_basis(mat)
+    if kernel.shape[1] == 0:
+        return theta_b0
+
+    def fgh(te):
+        f, g, h = sys_b.value_grad_hess(theta_b0 + kernel @ te)
+        return f, kernel.T @ g, kernel.T @ h @ kernel
+
+    res = minimize_fgh(fgh, np.zeros(kernel.shape[1]),
+                       value_only=lambda te: sys_b.potential(theta_b0 + kernel @ te))
+    if not res.converged:
+        raise ProjectionError("split-potential minimization stalled")
+    return theta_b0 + kernel @ res.point
+
+
+def non_iterative(p: ReverseEmProblem) -> NonIterativeResult:
     """Locate the maximizer by one convex minimization in the split potential.
 
-    Requires the exponential mixture structure, the identity leading block,
-    the split potentials and a constant dual offset.  When the resulting
-    dual coordinate lies outside the image of the gradient map of the first
-    split potential, the supremum is not attained in the interior and a
-    nonexistence report is returned instead of a maximizer.
+    Requires the identity leading block, the split potentials with their
+    dual offset, and a trailing dual block of full row rank.  When the
+    resulting dual coordinate lies outside the image of the gradient map of
+    the first split potential, the supremum is not attained in the interior
+    and a nonexistence report is returned instead of a maximizer.
     """
-    if not (p.mixture_is_exponential and p.leading_identity_block
-            and p.split_potential and p.constant_dual_offset):
+    if not p.leading_identity_block or p.split is None or p.dual_offset is None:
         raise ConditionViolationError(
-            "non-iterative method needs the exponential mixture structure, the "
-            "identity leading block, the split potentials and a constant dual offset")
+            "non-iterative method needs the identity leading block and the "
+            "split potentials with their dual offset")
     sys_a, sys_b = p.split
     tail = p.dual_tail
     if np.linalg.matrix_rank(tail, tol=1e-10) < p.k:
         raise ConditionViolationError(
             "the trailing dual block is row-rank deficient")
 
-    dual_offset = p.dual_offset
-    if dual_offset is None:
-        dual_offset = compute_dual_offset(p, rng=rng)
-    theta_b_star = least_norm_solve(tail, dual_offset)
-    null_dirs = kernel_basis(tail)
-
-    if null_dirs.shape[1] > 0:
-        def fgh(te):
-            f, g, h = sys_b.value_grad_hess(theta_b_star + null_dirs @ te)
-            return f, null_dirs.T @ g, null_dirs.T @ h @ null_dirs
-
-        res = minimize_fgh(
-            fgh, np.zeros(null_dirs.shape[1]),
-            value_only=lambda te: sys_b.potential(theta_b_star + null_dirs @ te))
-        if not res.converged:
-            raise ProjectionError("split-potential minimization stalled")
-        theta_b_bar = theta_b_star + null_dirs @ res.point
-    else:
-        theta_b_bar = theta_b_star
-
+    theta_b_bar = minimize_split_potential(sys_b, tail, p.dual_offset)
     eta_b = sys_b.gradient(theta_b_bar)
     eta_a = least_norm_solve(tail.T, eta_b)
     try:
@@ -663,9 +618,42 @@ def non_iterative(p: ReverseEmProblem,
             theta_c=None, theta_b_bar=theta_b_bar,
             message=f"maximum not attained in the interior: {exc}")
 
-    theta_a_max = theta_a_bar + dual_offset
+    theta_a_max = theta_a_bar + p.dual_offset
     theta_c = np.concatenate([theta_a_bar, theta_b_bar])
     capacity = divergence(p.sys, p.m_ambient(theta_a_max), p.e_ambient(theta_c))
     return NonIterativeResult(
         exists=True, capacity=float(capacity), theta_a=theta_a_max,
         eta_a=eta_a, theta_c=theta_c, theta_b_bar=theta_b_bar)
+
+
+def build_geometry(sys: BregmanSystem, feature_vecs: Array, generator_vecs: Array,
+                   k: int, eta_uniform: Array,
+                   split_b: Optional[Tuple[BregmanSystem, Array]]
+                   ) -> Tuple[ReverseEmProblem, Array]:
+    """The reverse-em problem of a capacity geometry with k + 1 inputs.
+
+    The generators of the exponential family (columns of ``generator_vecs``)
+    are fitted in the feature basis (columns of ``feature_vecs``) by least
+    squares; the mixture family fixes the trailing natural parameters at the
+    uniform-input point, the gradient-map preimage of ``eta_uniform``.
+    ``split_b`` is None or a pair (F_b, per-input entropies): the exponential
+    potential then splits into input indicators and F_b, and the dual
+    offset is the entropy difference to the last input.  Returns the problem
+    and the mixture coordinate of the uniform input.
+    """
+    v_mat, *_ = np.linalg.lstsq(feature_vecs, generator_vecs, rcond=None)
+    if np.max(np.abs(feature_vecs @ v_mat - generator_vecs)) > 1e-9:
+        raise InvalidChannelError("generators escape the feature span")
+    d = sys.dim
+    family_e = ExponentialSubfamily(v_mat, np.zeros(d))
+    family_m = MixtureSubfamily(np.eye(d), k, np.zeros(d - k))
+    theta_uniform = natural_param(sys, eta_uniform, grad_tol=1e-12)
+    split = dual_offset = None
+    if split_b is not None:
+        sys_b, entropies = split_b
+        split = (classical_system(np.eye(k + 1, k)), sys_b)
+        dual_offset = -entropies[:k] + entropies[-1]
+    rem = ReverseEmProblem(sys=sys, family_E=family_e, family_M=family_m,
+                           theta_tail=theta_uniform[k:], split=split,
+                           dual_offset=dual_offset)
+    return rem, theta_uniform[:k]

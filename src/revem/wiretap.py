@@ -13,12 +13,12 @@ from typing import Tuple
 import numpy as np
 import scipy.optimize
 
-from .bregman import classical_system, natural_param
-from .classical import (CapacityOutcome, _difference_duals, entropy,
-                        mutual_information)
+from .bregman import classical_system
+from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome,
+                        _difference_duals, entropy, mutual_information)
 from .errors import InvalidChannelError, NotDegradedError
-from .families import ExponentialSubfamily, MixtureSubfamily
-from .reverse_em import ReverseEmProblem, solve_reverse_em
+from .numerics import maximize_on_unit_interval
+from .reverse_em import ReverseEmProblem, build_geometry, solve_reverse_em
 
 Array = np.ndarray
 
@@ -139,14 +139,16 @@ class WiretapProblem:
         return joint.reshape(shape).sum(axis=(1, 2))
 
 
-def build_problem(channel: WiretapChannel,
-                  regularization: float = 1e-12) -> WiretapProblem:
-    """Construct the X-Z-Y geometry; the mixture family decodes to {W x q}."""
+def build_problem(channel: WiretapChannel) -> WiretapProblem:
+    """Construct the X-Z-Y geometry; the mixture family decodes to {W x q}.
+
+    The geometry uses the channel regularized by GEOMETRY_REGULARIZATION.
+    """
     n1, n2, n3 = channel.tensor.shape
     if n1 < 2 or n3 < 2:
         raise InvalidChannelError("need at least two inputs and two receiver outputs")
     cell = n2 * n3
-    reg = (1.0 - regularization) * channel.tensor + regularization / cell
+    reg = (1.0 - GEOMETRY_REGULARIZATION) * channel.tensor + GEOMETRY_REGULARIZATION / cell
 
     w_z = reg.sum(axis=2)  # (n1, n2)
     cond = reg / w_z[:, :, None]  # P(y | x, z)
@@ -211,25 +213,10 @@ def build_problem(channel: WiretapChannel,
     if feats.shape != (n, d) or gens.shape != (n, l):
         raise InvalidChannelError("internal: feature/generator block counts")
 
-    sys = classical_system(feats)
-    v_mat, *_ = np.linalg.lstsq(feats, gens, rcond=None)
-    if np.max(np.abs(feats @ v_mat - gens)) > 1e-9:
-        raise InvalidChannelError("generator functions escape the feature span")
-
-    family_e = ExponentialSubfamily(v_mat, np.zeros(d))
-    family_m = MixtureSubfamily(np.eye(d), k, np.zeros(d - k))
-
     joint_uniform = (reg / n1).reshape(-1)
-    eta_uniform = feats.T @ joint_uniform
-    theta_uniform = natural_param(sys, eta_uniform, grad_tol=1e-12)
-
-    rem = ReverseEmProblem(
-        sys=sys, family_E=family_e, family_M=family_m,
-        theta_tail=theta_uniform[k:],
-        projection_expands=True, mixture_is_exponential=True,
-        leading_identity_block=True, split_potential=False,
-        constant_dual_offset=False)
-    return WiretapProblem(channel, reg, rem, theta_uniform[:k])
+    rem, theta_a_uniform = build_geometry(classical_system(feats), feats, gens, k,
+                                          feats.T @ joint_uniform, None)
+    return WiretapProblem(channel, reg, rem, theta_a_uniform)
 
 
 def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10,
@@ -266,27 +253,8 @@ def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:
         return secrecy_objective(channel, q)
 
     if n1 == 2:
-        grid = np.linspace(0.0, 1.0, grid_points + 1)
-        vals = [value(np.array([s, 1 - s])) for s in grid]
-        s = grid[int(np.argmax(vals))]
-        lo, hi = max(s - 2.0 / grid_points, 0.0), min(s + 2.0 / grid_points, 1.0)
-        inv_phi = (np.sqrt(5) - 1) / 2
-        a, b = lo, hi
-        c, dd = b - inv_phi * (b - a), a + inv_phi * (b - a)
-        fc, fd = value(np.array([c, 1 - c])), value(np.array([dd, 1 - dd]))
-        for _ in range(200):
-            if fc < fd:
-                a, c, fc = c, dd, fd
-                dd = a + inv_phi * (b - a)
-                fd = value(np.array([dd, 1 - dd]))
-            else:
-                b, dd, fd = dd, c, fc
-                c = b - inv_phi * (b - a)
-                fc = value(np.array([c, 1 - c]))
-            if b - a < 1e-12:
-                break
-        s = 0.5 * (a + b)
-        return value(np.array([s, 1 - s]))
+        return maximize_on_unit_interval(
+            lambda s: value(np.array([s, 1 - s])), grid_points)
 
     best = (-np.inf, None)
     m = max(grid_points // 4, 40)

@@ -3,8 +3,7 @@ import pytest
 
 from conftest import random_features
 from revem.bregman import (BregmanSystem, classical_system, divergence,
-                           legendre, mixture_param, natural_param,
-                           quantum_system)
+                           legendre, natural_param, quantum_system)
 from revem.errors import InvalidSpecError
 
 
@@ -38,8 +37,8 @@ def test_quadratic_divergence_is_half_squared_distance(rng):
 def test_bernoulli_examples():
     sys = bernoulli_system()
     assert np.allclose(sys.distribution(np.zeros(1)), [0.5, 0.5])
-    assert abs(mixture_param(sys, np.zeros(1))[0] - 0.5) < 1e-15
-    assert abs(mixture_param(sys, np.array([10.0]))[0] - 1.0) < 1e-4
+    assert abs(sys.gradient(np.zeros(1))[0] - 0.5) < 1e-15
+    assert abs(sys.gradient(np.array([10.0]))[0] - 1.0) < 1e-4
     assert abs(natural_param(sys, np.array([0.5]))[0]) < 1e-10
     # Convex conjugate of log(1 + e^t) is s log s + (1-s) log(1-s).
     for s in (0.5, 0.2, 0.731):
@@ -72,9 +71,9 @@ def test_natural_param_roundtrip(rng):
         d = int(rng.integers(1, n - 1))
         sys = classical_system(random_features(rng, n, d))
         theta = rng.normal(size=d)
-        eta = mixture_param(sys, theta)
+        eta = sys.gradient(theta)
         assert np.max(np.abs(natural_param(sys, eta) - theta)) < 1e-9
-        assert np.max(np.abs(mixture_param(sys, natural_param(sys, eta)) - eta)) < 1e-9
+        assert np.max(np.abs(sys.gradient(natural_param(sys, eta)) - eta)) < 1e-9
 
 
 def test_dual_divergence_identity(rng):
@@ -83,7 +82,7 @@ def test_dual_divergence_identity(rng):
         d = int(rng.integers(1, n))
         sys = classical_system(random_features(rng, n, d))
         t1, t2 = 0.7 * rng.normal(size=d), 0.7 * rng.normal(size=d)
-        e1, e2 = mixture_param(sys, t1), mixture_param(sys, t2)
+        e1, e2 = sys.gradient(t1), sys.gradient(t2)
         dual = (float(natural_param(sys, e2) @ (e2 - e1))
                 - legendre(sys, e2) + legendre(sys, e1))
         assert abs(divergence(sys, t1, t2) - dual) < 1e-9

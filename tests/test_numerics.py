@@ -5,17 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import chan1
 from revem import classical
-from revem.errors import DomainError, InfeasibleSystemError
-from revem.numerics import (hermitian_exp, hermitian_log, kernel_basis,
-                            least_norm_solve, minimize_convex)
+from revem.errors import InfeasibleSystemError
+from revem.numerics import kernel_basis, least_norm_solve, minimize_fgh
 
 
 def test_quadratic_known_minimizer():
     c = np.array([1.0, 2.0])
-    res = minimize_convex(
-        lambda x: float((x - c) @ (x - c)),
-        lambda x: 2 * (x - c),
-        lambda x: 2 * np.eye(2),
+    res = minimize_fgh(
+        lambda x: (float((x - c) @ (x - c)), 2 * (x - c), 2 * np.eye(2)),
         np.zeros(2), grad_tol=1e-12)
     assert res.converged
     assert res.iterations <= 2
@@ -25,10 +22,10 @@ def test_quadratic_known_minimizer():
 
 
 def test_symmetric_logistic_min_at_zero():
-    res = minimize_convex(
-        lambda x: float(np.log1p(np.exp(x[0])) - 0.5 * x[0]),
-        lambda x: np.array([1 / (1 + np.exp(-x[0])) - 0.5]),
-        lambda x: np.array([[np.exp(x[0]) / (1 + np.exp(x[0])) ** 2]]),
+    res = minimize_fgh(
+        lambda x: (float(np.log1p(np.exp(x[0])) - 0.5 * x[0]),
+                   np.array([1 / (1 + np.exp(-x[0])) - 0.5]),
+                   np.array([[np.exp(x[0]) / (1 + np.exp(x[0])) ** 2]])),
         np.array([3.0]))
     assert res.converged
     assert abs(res.point[0]) < 1e-9
@@ -70,39 +67,14 @@ def test_one_dimensional_channel_objective_matches_golden_section():
     def objective(s):
         return sys_eb.potential(theta_b + kernel[:, 0] * s)
 
-    res = minimize_convex(
-        lambda x: objective(x[0]),
-        lambda x: kernel.T @ sys_eb.gradient(theta_b + kernel @ x),
-        lambda x: kernel.T @ sys_eb.hessian(theta_b + kernel @ x) @ kernel,
+    res = minimize_fgh(
+        lambda x: (objective(x[0]),
+                   kernel.T @ sys_eb.gradient(theta_b + kernel @ x),
+                   kernel.T @ sys_eb.hessian(theta_b + kernel @ x) @ kernel),
         np.zeros(1))
     oracle = _golden_section(objective, -50.0, 50.0)
     assert res.converged
     assert abs(res.point[0] - oracle) < 1e-8
-
-
-def test_hermitian_exp_log_basics():
-    assert np.allclose(hermitian_exp(np.zeros((3, 3))), np.eye(3), atol=1e-14)
-    assert np.allclose(hermitian_exp(np.diag([1.0, -2.0])),
-                       np.diag([np.e, np.exp(-2.0)]), atol=1e-12)
-    assert np.allclose(hermitian_log(np.eye(4)), np.zeros((4, 4)), atol=1e-14)
-    assert np.allclose(hermitian_log(np.diag([np.e, np.e ** 2])),
-                       np.diag([1.0, 2.0]), atol=1e-12)
-
-
-def test_hermitian_roundtrips(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = 0.5 * (a + a.conj().T)
-        h *= 5.0 / max(np.abs(np.linalg.eigvalsh(h)).max(), 1e-9)
-        assert np.max(np.abs(hermitian_log(hermitian_exp(h)) - h)) < 1e-10
-        p = hermitian_exp(h)
-        assert np.max(np.abs(hermitian_exp(hermitian_log(p)) - p)) < 1e-10 * np.max(np.abs(p))
-
-
-def test_hermitian_log_rejects_singular():
-    with pytest.raises(DomainError):
-        hermitian_log(np.diag([1.0, 0.0]))
 
 
 def test_kernel_basis_cases(rng):
@@ -147,10 +119,8 @@ def test_quadratic_family_two_step_convergence(dim, seed):
     root = rng.normal(size=(dim, dim))
     mat = root @ root.T + np.eye(dim)
     c = rng.normal(size=dim)
-    res = minimize_convex(
-        lambda x: float(0.5 * x @ mat @ x - c @ x),
-        lambda x: mat @ x - c,
-        lambda x: mat,
+    res = minimize_fgh(
+        lambda x: (float(0.5 * x @ mat @ x - c @ x), mat @ x - c, mat),
         rng.normal(size=dim), grad_tol=1e-12)
     assert res.converged
     assert res.iterations <= 2

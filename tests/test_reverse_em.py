@@ -3,9 +3,10 @@ import pytest
 
 from conftest import chan1, random_channel, random_features
 from revem import reverse_em as rem
+from revem import wiretap
 from revem.bregman import classical_system, divergence, natural_param
 from revem.classical import (Channel, blahut_arimoto, build_problem,
-                             mutual_information)
+                             capacity_special, mutual_information)
 from revem.errors import ConditionViolationError
 from revem.families import (ExponentialSubfamily, MixtureSubfamily,
                             e_projection, m_projection)
@@ -100,45 +101,6 @@ def test_residual_formulations_agree(rng):
         assert abs(rem.fixed_point_residual(p, theta_a) - r2) < 1e-9
 
 
-def test_quadratic_step_properties(rng):
-    channel = chan1(0.0)
-    prob = build_problem(channel)
-    p = prob.rem
-    ba = blahut_arimoto(channel, tol=1e-13)
-    coord = prob.input_coord(ba.input_distribution)
-    eta_fixed = p.M_system.gradient(coord)
-    assert np.max(np.abs(rem.quadratic_step(p, coord) - eta_fixed)) < 1e-6
-
-    # near the optimum the step tracks the exact inverse-map image and
-    # contracts the invariance defect
-    start = coord + 1e-3 * rng.normal(size=p.k)
-    r0 = rem.fixed_point_residual(p, start)
-    eta = rem.quadratic_step(p, start)
-    theta_new = natural_param(p.M_system, eta)
-    r1 = rem.fixed_point_residual(p, theta_new)
-    assert r1 < r0
-    r_exact = rem.fixed_point_residual(p, rem.inverse_step_mixture(p, start))
-    assert abs(r1 - r_exact) < 1e-5 * max(r_exact, 1e-12)
-
-    theta = start
-    for _ in range(25):
-        theta = natural_param(p.M_system, rem.quadratic_step(p, theta))
-    assert rem.fixed_point_residual(p, theta) < r0 / 1e4
-
-    # second-order accuracy: halving the offset quarters the defect
-    direction = rng.normal(size=p.k)
-    direction /= np.linalg.norm(direction)
-
-    def defect(scale):
-        theta_a = coord + scale * direction
-        exact = p.M_system.gradient(rem.inverse_step_mixture(p, theta_a))
-        approx = rem.quadratic_step(p, theta_a)
-        return np.linalg.norm(exact - approx)
-
-    d1, d2 = defect(2e-2), defect(1e-2)
-    assert d2 < d1 / 2.5
-
-
 def test_solver_capacities_and_monotonicity():
     channel = chan1(0.1)
     prob = build_problem(channel)
@@ -185,15 +147,12 @@ def designed_em_instance(rng):
                                  np.array([0.2, -0.1, 0.0, 0.4]))
     base_grad = sys.gradient(np.zeros(4))
     fam_m = MixtureSubfamily(np.eye(4), 2, 0.9 * base_grad[2:])
-    prob = rem.ReverseEmProblem(
-        sys=sys, family_E=fam_e, family_M=fam_m,
-        theta_tail=np.zeros(2), projection_expands=False, mixture_is_exponential=False)
-    return sys, fam_e, fam_m, prob
+    return sys, fam_e, fam_m
 
 
 def test_em_minimize_matches_grid_oracle(rng):
-    sys, fam_e, fam_m, prob = designed_em_instance(rng)
-    result = rem.em_minimize(prob, fam_e.ambient(np.zeros(1)))
+    sys, fam_e, fam_m = designed_em_instance(rng)
+    result = rem.em_minimize(sys, fam_m, fam_e, fam_e.ambient(np.zeros(1)))
     assert result.converged
     assert result.c_inf > 1e-4  # families genuinely separated
 
@@ -217,8 +176,8 @@ def test_em_minimize_zero_when_families_intersect():
     # identical channel rows make {W x q} product distributions
     mat = np.array([[0.3, 0.3], [0.7, 0.7]])
     prob = build_problem(Channel(mat))
-    start = prob.rem.e_ambient(np.zeros(prob.rem.l))
-    result = rem.em_minimize(prob.rem, start)
+    p = prob.rem
+    result = rem.em_minimize(p.sys, p.family_M, p.family_E, p.e_ambient(np.zeros(p.l)))
     assert result.c_inf < 1e-10
 
 
@@ -270,6 +229,22 @@ def test_non_iterative_paths(rng):
     assert abs(res.capacity - ba.capacity) < 1e-6
 
 
+def test_non_iterative_routes_agree(rng):
+    # The engine's non_iterative on the regularized geometry and the
+    # channel-level capacity_special share one kernel-restricted minimization.
+    agreed = 0
+    for _ in range(30):
+        n_in = int(rng.integers(2, 5))
+        channel = random_channel(rng, n_in, int(rng.integers(n_in, 7)))
+        res = rem.non_iterative(build_problem(channel).rem)
+        special = capacity_special(channel)
+        if not res.exists or special.negative_support:
+            continue
+        assert abs(res.capacity - special.capacity) <= 1e-10
+        agreed += 1
+    assert agreed >= 10
+
+
 def test_dual_offset_constancy(rng):
     prob = build_problem(chan1(0.1))
     computed = rem.compute_dual_offset(prob.rem, n_checks=5, rng=rng)
@@ -282,11 +257,20 @@ def test_solver_validates_stepper():
         rem.solve_reverse_em(prob.rem, prob.theta_a_uniform, stepper="bogus")
     with pytest.raises(ValueError):
         rem.solve_reverse_em(prob.rem, prob.theta_a_uniform, stepper="eps")
-    bare = rem.ReverseEmProblem(
-        sys=prob.rem.sys, family_E=prob.rem.family_E,
-        family_M=prob.rem.family_M, theta_tail=prob.rem.theta_tail,
-        projection_expands=True, mixture_is_exponential=True, leading_identity_block=False, split_potential=False, constant_dual_offset=False)
+    # doubled generators double the dual matrix, so its leading block is 2 I
+    p = prob.rem
+    doubled = rem.ReverseEmProblem(
+        sys=p.sys, family_E=ExponentialSubfamily(2 * p.family_E.generators,
+                                                 p.family_E.offset),
+        family_M=p.family_M, theta_tail=p.theta_tail)
+    assert p.leading_identity_block and not doubled.leading_identity_block
     with pytest.raises(ConditionViolationError):
-        rem.inverse_step_natural(bare, prob.theta_a_uniform)
+        rem.inverse_step_natural(doubled, prob.theta_a_uniform)
+    # the wiretap geometry has the identity block but no split potential
+    bob = np.array([[0.8, 0.1], [0.15, 0.2], [0.05, 0.7]])
+    t_map = np.array([[0.9, 0.3, 0.2], [0.1, 0.7, 0.8]])
+    wt = wiretap.build_problem(
+        wiretap.WiretapChannel(np.einsum("zy,yx->xzy", t_map, bob)))
+    assert wt.rem.leading_identity_block and wt.rem.split is None
     with pytest.raises(ConditionViolationError):
-        rem.non_iterative(bare)
+        rem.non_iterative(wt.rem)

@@ -86,9 +86,9 @@ class BregmanSystem:
 
 
 def _logsumexp(v: Array):
-    m = float(np.max(v))
+    m = float(v.max())
     w = np.exp(v - m)
-    s = float(np.sum(w))
+    s = float(w.sum())
     return m + np.log(s), w / s
 
 
@@ -118,7 +118,7 @@ class ClassicalSystem(BregmanSystem):
     def _hess(self, theta):
         p = self.distribution(theta)
         g = self.features.T @ p
-        return self.features.T @ (p[:, None] * self.features) - np.outer(g, g)
+        return self.features.T @ (p[:, None] * self.features) - g[:, None] * g
 
     def value_grad(self, theta):
         f, p = _logsumexp(self._logits(np.asarray(theta, dtype=float)))
@@ -127,7 +127,7 @@ class ClassicalSystem(BregmanSystem):
     def value_grad_hess(self, theta):
         f, p = _logsumexp(self._logits(np.asarray(theta, dtype=float)))
         g = self.features.T @ p
-        h = self.features.T @ (p[:, None] * self.features) - np.outer(g, g)
+        h = self.features.T @ (p[:, None] * self.features) - g[:, None] * g
         return f, g, h
 
     def restrict(self, generators, offset):

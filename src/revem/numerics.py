@@ -2,15 +2,23 @@
 least-norm solves and the 1-d grid-plus-golden-section maximizer of the
 two-input oracles.
 
+The damped-Newton kernel factors its Hessians through LAPACK ``potrf`` /
+``potrs`` directly rather than ``scipy.linalg.cho_factor`` / ``cho_solve``:
+the matrices are 1 x 1 to about 6 x 6, where the wrappers' argument checks
+cost more than the factorization.  The same routines run with the same
+arguments, so the results are bit-identical.
+
 Everything here is a pure function of its inputs; no shared mutable state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InfeasibleSystemError, NumericalError
 
@@ -21,6 +29,7 @@ DEFAULT_RANK_TOL = 1e-10
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 2.0 ** -60
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -39,20 +48,43 @@ class Minimizer:
     converged: bool
 
 
+def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve mat @ x = rhs for symmetric positive-definite ``mat``, reading
+    its upper triangle; ``rhs`` may be 1-D or 2-D.
+
+    Bit-identical to ``cho_solve(cho_factor(mat, check_finite=False), rhs,
+    check_finite=False)`` and raises what they raise: LinAlgError when
+    ``mat`` is not positive definite, ValueError on an illegal argument.
+    """
+    if mat.shape[0] == 0:
+        return np.empty_like(rhs, dtype=float)
+    c, info = dpotrf(mat, lower=0, clean=0)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of potrf")
+    x, info = dpotrs(c, rhs, lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of potrs")
+    return x
+
+
 def _chol_solve(hess: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     """Solve hess @ x = rhs by Cholesky, with a trace-scaled jitter retry.
 
     Returns None when the matrix cannot be factored even after jitter, which
     signals the caller to fall back to plain gradient descent.
     """
+    try:
+        return _spd_solve(hess, rhs)
+    except (scipy.linalg.LinAlgError, ValueError):
+        pass
     dim = hess.shape[0]
-    jitters = (0.0, 1e-12, 1e-8)
     scale = max(np.trace(hess).real / max(dim, 1), 1.0)
-    for jit in jitters:
+    for jit in (1e-12, 1e-8):
         try:
-            mat = hess if jit == 0.0 else hess + (jit * scale) * np.eye(dim)
-            c, low = scipy.linalg.cho_factor(mat, check_finite=False)
-            return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+            return _spd_solve(hess + (jit * scale) * np.eye(dim), rhs)
         except (scipy.linalg.LinAlgError, ValueError):
             continue
     return None
@@ -78,15 +110,15 @@ def minimize_fgh(
     f_of = value_only if value_only is not None else (lambda z: fgh(z)[0])
 
     f, g, hess = fgh(x)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+    if not math.isfinite(f) or not np.isfinite(g).all():
         raise NumericalError(
             f"non-finite objective/gradient at starting iterate {x!r}")
 
     best_x, best_f = x.copy(), f
     iterations = 0
-    gnorm = float(np.linalg.norm(g))
     for iterations in range(max_iter + 1):
-        gnorm = float(np.linalg.norm(g))
+        # Equal to np.linalg.norm(g), which is sqrt(g.dot(g)) for 1-D real g.
+        gnorm = math.sqrt(float(g @ g))
         if gnorm <= grad_tol:
             return Minimizer(x, float(f), gnorm, iterations, True)
         if extra_stop is not None and extra_stop(x, f, g, hess):
@@ -104,13 +136,13 @@ def minimize_fgh(
 
         # Absolute slack keeps the Armijo test meaningful once the true
         # decrease falls below float resolution of the objective value.
-        noise = 64.0 * np.finfo(float).eps * max(1.0, abs(f))
+        noise = 64.0 * _EPS * max(1.0, abs(f))
         t = 1.0
         accepted = False
         while t >= _MIN_STEP:
             x_new = x + t * direction
             f_new = f_of(x_new)
-            if np.isfinite(f_new) and f_new <= f + _ARMIJO_SLOPE * t * slope + noise:
+            if math.isfinite(f_new) and f_new <= f + _ARMIJO_SLOPE * t * slope + noise:
                 accepted = True
                 break
             t *= _BACKTRACK_FACTOR
@@ -119,17 +151,17 @@ def minimize_fgh(
 
         x = x_new
         f, g, hess = fgh(x)
-        if not np.isfinite(f) or not np.all(np.isfinite(g)):
+        if not math.isfinite(f) or not np.isfinite(g).all():
             raise NumericalError(
                 f"non-finite objective/gradient at iterate {iterations + 1}: {x!r}")
         if f < best_f:
             best_x, best_f = x.copy(), f
 
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(float(g @ g))
     if best_f < f:
         x = best_x
         f, g, _ = fgh(x)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(float(g @ g))
     return Minimizer(x, float(f), gnorm, iterations, gnorm <= grad_tol)
 
 

@@ -28,7 +28,7 @@ from .errors import (ConditionViolationError, ImageMembershipError,
                      InvalidChannelError, ProjectionError, RevemError)
 from .families import (ExponentialSubfamily, MixtureSubfamily, e_projection,
                        m_projection)
-from .numerics import kernel_basis, least_norm_solve, minimize_fgh
+from .numerics import _spd_solve, kernel_basis, least_norm_solve, minimize_fgh
 
 Array = np.ndarray
 
@@ -159,18 +159,16 @@ class NonIterativeResult:
     message: str = ""
 
 
-def _projection_target(p: ReverseEmProblem, theta_a: Array):
-    """Shared per-iterate quantities: ambient point, value/gradient, E-target."""
+def _objective_and_residual(p: ReverseEmProblem, theta_a: Array,
+                            state: Dict) -> Tuple[float, float, Array]:
+    """Objective D(theta || m-projection) and the fixed-point residual.
+
+    The m-projection is warm-started at ``state["theta_c"]``, which the
+    inverse steps set to the E-point they solved for.
+    """
     amb = p.m_ambient(theta_a)
     f_m, g_m = p.sys.value_grad(amb)
     target = p.family_E.generators.T @ g_m
-    return amb, f_m, g_m, target
-
-
-def _objective_and_residual(p: ReverseEmProblem, theta_a: Array,
-                            state: Dict) -> Tuple[float, float, Array]:
-    """Objective D(theta || m-projection) and the fixed-point residual."""
-    amb, f_m, g_m, target = _projection_target(p, theta_a)
     theta_c = natural_param(p.E_system, target, theta_init=state.get("theta_c"))
     state["theta_c"] = theta_c
     amb_e = p.e_ambient(theta_c)
@@ -257,8 +255,7 @@ def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
         eta_c = dual.T @ eta_hat
         f = float(eta_c @ theta_c - f_c - eta_hat @ theta_a)
         g = dual @ theta_c - theta_a
-        c, low = scipy.linalg.cho_factor(h_c, check_finite=False)
-        h = dual @ scipy.linalg.cho_solve((c, low), dual.T, check_finite=False)
+        h = dual @ _spd_solve(h_c, dual.T)
         return f, g, 0.5 * (h + h.T)
 
     def value_only(eta_hat):
@@ -275,6 +272,8 @@ def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
         raise ProjectionError(
             f"inner dual minimization stalled (gradient norm {res.gradient_norm:.3e})")
     state["eta_hat"] = res.point
+    # The E-point of the minimizer is the m-projection of the new iterate.
+    state["theta_c"] = solve_c(res.point)
     return natural_param(p.M_system, res.point, theta_init=theta_a)
 
 
@@ -327,12 +326,6 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
 
         def value_only(tb):
             return sys_a.potential(theta_a - tail @ tb) + sys_b.potential(tb)
-
-        res = minimize_fgh(fgh, tb0, value_only=value_only)
-        if not res.converged:
-            raise ProjectionError("natural-parameter inner minimization stalled")
-        tb = res.point
-        eta_a_new = sys_a.gradient(theta_a - tail @ tb)
     else:
         jac = np.vstack([-tail, np.eye(p.l - p.k)])
 
@@ -344,14 +337,18 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
         def value_only(tb):
             return p.E_system.potential(np.concatenate([theta_a - tail @ tb, tb]))
 
-        res = minimize_fgh(fgh, tb0, value_only=value_only)
-        if not res.converged:
-            raise ProjectionError("natural-parameter inner minimization stalled")
-        tb = res.point
-        eta_full = p.E_system.gradient(np.concatenate([theta_a - tail @ tb, tb]))
-        eta_a_new = eta_full[:p.k]
-
+    res = minimize_fgh(fgh, tb0, value_only=value_only)
+    if not res.converged:
+        raise ProjectionError("natural-parameter inner minimization stalled")
+    tb = res.point
     state["theta_b"] = tb
+    # The E-point of the minimizer is the m-projection of the new iterate.
+    theta_c = np.concatenate([theta_a - tail @ tb, tb])
+    state["theta_c"] = theta_c
+    if p.split is not None:
+        eta_a_new = sys_a.gradient(theta_c[:p.k])
+    else:
+        eta_a_new = p.E_system.gradient(theta_c)[:p.k]
     return natural_param(p.M_system, eta_a_new, theta_init=theta_a)
 
 

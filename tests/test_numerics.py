@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chan1
 from revem import classical
 from revem.errors import InfeasibleSystemError
-from revem.numerics import kernel_basis, least_norm_solve, minimize_fgh
+from revem.numerics import (_chol_solve, _spd_solve, kernel_basis,
+                            least_norm_solve, minimize_fgh)
 
 
 def test_quadratic_known_minimizer():
@@ -125,3 +129,36 @@ def test_quadratic_family_two_step_convergence(dim, seed):
     assert res.converged
     assert res.iterations <= 2
     assert res.gradient_norm <= 1e-12
+
+
+def test_spd_solve_matches_scipy_bit_for_bit(rng):
+    for dim in range(7):
+        root = rng.normal(size=(dim, dim))
+        mat = root @ root.T + 0.1 * np.eye(dim)
+        factor = scipy.linalg.cho_factor(mat, check_finite=False)
+        for rhs in (rng.normal(size=dim), rng.normal(size=(dim, 3)),
+                    rng.normal(size=(3, dim)).T):
+            expected = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            got = _spd_solve(mat, rhs)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+    with pytest.raises(scipy.linalg.LinAlgError):
+        _spd_solve(np.diag([1.0, -1.0, 2.0]), np.ones(3))
+
+
+def test_chol_solve_jitter_and_failure():
+    # singular PSD: factored after jitter, solving the consistent direction
+    vec = np.array([1.0, 2.0, -1.0])
+    with pytest.raises(scipy.linalg.LinAlgError):
+        _spd_solve(np.outer(vec, vec), vec)
+    x = _chol_solve(np.outer(vec, vec), vec)
+    assert x is not None and np.all(np.isfinite(x))
+    assert np.allclose(np.outer(vec, vec) @ x, vec, rtol=1e-6)
+    assert _chol_solve(-np.eye(3), np.ones(3)) is None
+
+
+def test_gradient_norm_matches_numpy_norm(rng):
+    for dim in range(1, 9):
+        for scale in (1e-12, 1.0, 1e8):
+            g = scale * rng.normal(size=dim)
+            assert math.sqrt(float(g @ g)) == float(np.linalg.norm(g))

@@ -251,6 +251,13 @@ def test_dual_offset_constancy(rng):
     assert np.max(np.abs(computed - prob.rem.dual_offset)) < 1e-8
 
 
+def _degraded_wiretap_problem():
+    bob = np.array([[0.8, 0.1], [0.15, 0.2], [0.05, 0.7]])
+    t_map = np.array([[0.9, 0.3, 0.2], [0.1, 0.7, 0.8]])
+    return wiretap.build_problem(
+        wiretap.WiretapChannel(np.einsum("zy,yx->xzy", t_map, bob)))
+
+
 def test_solver_validates_stepper():
     prob = bsc_problem()
     with pytest.raises(ValueError):
@@ -267,10 +274,25 @@ def test_solver_validates_stepper():
     with pytest.raises(ConditionViolationError):
         rem.inverse_step_natural(doubled, prob.theta_a_uniform)
     # the wiretap geometry has the identity block but no split potential
-    bob = np.array([[0.8, 0.1], [0.15, 0.2], [0.05, 0.7]])
-    t_map = np.array([[0.9, 0.3, 0.2], [0.1, 0.7, 0.8]])
-    wt = wiretap.build_problem(
-        wiretap.WiretapChannel(np.einsum("zy,yx->xzy", t_map, bob)))
+    wt = _degraded_wiretap_problem()
     assert wt.rem.leading_identity_block and wt.rem.split is None
     with pytest.raises(ConditionViolationError):
         rem.non_iterative(wt.rem)
+
+
+def test_steps_store_m_projection_of_new_iterate(rng):
+    # Each inverse step leaves in state["theta_c"] the E-point it solved for,
+    # which warm-starts the next objective evaluation; it must be the
+    # m-projection of the iterate the step returns.
+    problems = [build_problem(random_channel(rng, 3, 4)).rem for _ in range(3)]
+    problems.append(_degraded_wiretap_problem().rem)
+    assert problems[-1].split is None and problems[0].split is not None
+    steps = (rem.inverse_step_mixture, rem.inverse_step_natural,
+             lambda p, theta, state: rem.inverse_step_eps(p, theta, 1e-12, state))
+    for p in problems:
+        for step in steps:
+            state = {}
+            theta_new = step(p, 0.3 * rng.normal(size=p.k), state)
+            target = p.family_E.generators.T @ p.sys.gradient(p.m_ambient(theta_new))
+            expected = natural_param(p.E_system, target, grad_tol=1e-12)
+            assert np.max(np.abs(state["theta_c"] - expected)) < 1e-8

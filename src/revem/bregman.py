@@ -276,11 +276,7 @@ def natural_param(sys: BregmanSystem, eta: Array,
         f, g, h = sys.value_grad_hess(th)
         return f - eta @ th, g - eta, h
 
-    def value_only(th):
-        return sys.potential(th) - eta @ th
-
-    res: Minimizer = minimize_fgh(fgh, x0, grad_tol=grad_tol, max_iter=max_iter,
-                                  value_only=value_only)
+    res: Minimizer = minimize_fgh(fgh, x0, grad_tol=grad_tol, max_iter=max_iter)
     if not res.converged:
         raise ImageMembershipError(
             f"mixture parameter not reached (gradient norm {res.gradient_norm:.3e}); "

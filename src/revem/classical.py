@@ -212,7 +212,6 @@ class ChannelProblem:
     reg_matrix: Array
     rem: ReverseEmProblem
     theta_a_uniform: Array
-    duals: Array
     moment_matrix: Array  # h_{i,j} over all n1 inputs
 
     def decode_input(self, theta_a: Array) -> Array:
@@ -265,7 +264,7 @@ def build_problem(channel: Channel) -> ChannelProblem:
     rem, theta_a_uniform = build_geometry(
         classical_system(feats), feats, gens, k, feats.T @ joint_uniform,
         (classical_system(f), entropies))
-    return ChannelProblem(channel, reg, rem, theta_a_uniform, f, h)
+    return ChannelProblem(channel, reg, rem, theta_a_uniform, h)
 
 
 def capacity_iterative(channel: Channel, tol: float = 1e-10,

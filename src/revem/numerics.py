@@ -95,26 +95,27 @@ def minimize_fgh(
     x0: np.ndarray,
     grad_tol: float = DEFAULT_GRAD_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    value_only: Optional[Callable[[np.ndarray], float]] = None,
     extra_stop: Optional[Callable[[np.ndarray, float, np.ndarray, np.ndarray], bool]] = None,
 ) -> Minimizer:
     """Damped-Newton descent on a fused (value, gradient, hessian) callback.
 
-    ``fgh(x)`` returns the triple at x; ``value_only`` may give a cheaper
-    objective-only evaluation for the line search.  ``extra_stop`` lets a
-    caller terminate on its own certificate (used by the eps-approximate
-    reverse-em step).  Falls back to gradient descent with Armijo
-    backtracking when the Hessian cannot be Cholesky-factored.
+    ``fgh(x)`` returns the triple at x and is called once per point: at x0
+    and at each line-search trial.  An accepted trial's triple becomes the
+    next iterate's; a trial whose value is not finite (``fgh`` may return
+    ``math.inf`` off the objective's domain) is rejected without reading
+    its gradient or Hessian.  A non-finite value or gradient at x0, or a
+    non-finite gradient at an accepted trial, raises NumericalError.
+    ``extra_stop`` lets a caller terminate on its own certificate (used by
+    the eps-approximate reverse-em step).  Falls back to gradient descent
+    with Armijo backtracking when the Hessian cannot be Cholesky-factored.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f_of = value_only if value_only is not None else (lambda z: fgh(z)[0])
-
     f, g, hess = fgh(x)
     if not math.isfinite(f) or not np.isfinite(g).all():
         raise NumericalError(
             f"non-finite objective/gradient at starting iterate {x!r}")
 
-    best_x, best_f = x.copy(), f
+    best = (x, f, g)
     iterations = 0
     for iterations in range(max_iter + 1):
         # Equal to np.linalg.norm(g), which is sqrt(g.dot(g)) for 1-D real g.
@@ -138,30 +139,25 @@ def minimize_fgh(
         # decrease falls below float resolution of the objective value.
         noise = 64.0 * _EPS * max(1.0, abs(f))
         t = 1.0
-        accepted = False
         while t >= _MIN_STEP:
             x_new = x + t * direction
-            f_new = f_of(x_new)
+            f_new, g_new, h_new = fgh(x_new)
             if math.isfinite(f_new) and f_new <= f + _ARMIJO_SLOPE * t * slope + noise:
-                accepted = True
                 break
             t *= _BACKTRACK_FACTOR
-        if not accepted:
+        else:
             break
 
-        x = x_new
-        f, g, hess = fgh(x)
-        if not math.isfinite(f) or not np.isfinite(g).all():
+        x, f, g, hess = x_new, f_new, g_new, h_new
+        if not np.isfinite(g).all():
             raise NumericalError(
-                f"non-finite objective/gradient at iterate {iterations + 1}: {x!r}")
-        if f < best_f:
-            best_x, best_f = x.copy(), f
+                f"non-finite gradient at iterate {iterations + 1}: {x!r}")
+        if f < best[1]:
+            best = (x, f, g)
 
+    if best[1] < f:
+        x, f, g = best
     gnorm = math.sqrt(float(g @ g))
-    if best_f < f:
-        x = best_x
-        f, g, _ = fgh(x)
-        gnorm = math.sqrt(float(g @ g))
     return Minimizer(x, float(f), gnorm, iterations, gnorm <= grad_tol)
 
 

@@ -17,6 +17,7 @@ projection map invertible.  Three routes solve the problem:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -209,20 +210,6 @@ def em_minimize(sys: BregmanSystem, family_M: MixtureSubfamily,
     return EmResult(float(gap), theta_m, theta_e, it, converged)
 
 
-class _LegendreCache:
-    """Warm-started inversion of an exponential-family gradient map."""
-
-    def __init__(self, system: BregmanSystem):
-        self.system = system
-        self.last: Optional[Array] = None
-
-    def solve(self, eta: Array, grad_tol: float = 1e-11) -> Array:
-        theta = natural_param(self.system, eta, theta_init=self.last,
-                              grad_tol=grad_tol)
-        self.last = theta
-        return theta
-
-
 def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
                        state: Optional[Dict], extra_stop=None) -> Array:
     """The inverse map through the dual problem: minimize
@@ -231,10 +218,11 @@ def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
 
     The inner gradient-map inversions are solved two decades tighter than
     the dual minimization so their error does not dominate its gradient.
+    Each is warm-started at the last one, which ``state["legendre"]`` keeps
+    across steps.
     """
     grad_tol = 1e-9
     state = {} if state is None else state
-    cache = state.setdefault("legendre", _LegendreCache(p.E_system))
     theta_a = np.asarray(theta_a, dtype=float)
     eta_init = state.get("eta_hat")
     if eta_init is None:
@@ -245,12 +233,17 @@ def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
     def solve_c(eta_hat):
         key = eta_hat.tobytes()
         if memo["key"] != key:
-            theta_c = cache.solve(dual.T @ eta_hat, grad_tol=grad_tol * 1e-2)
-            memo.update(key=key, theta_c=theta_c)
-        return memo["theta_c"]
+            state["legendre"] = natural_param(
+                p.E_system, dual.T @ eta_hat, theta_init=state.get("legendre"),
+                grad_tol=grad_tol * 1e-2)
+            memo["key"] = key
+        return state["legendre"]
 
     def fgh(eta_hat):
-        theta_c = solve_c(eta_hat)
+        try:
+            theta_c = solve_c(eta_hat)
+        except ImageMembershipError:
+            return math.inf, None, None
         f_c, _, h_c = p.E_system.value_grad_hess(theta_c)
         eta_c = dual.T @ eta_hat
         f = float(eta_c @ theta_c - f_c - eta_hat @ theta_a)
@@ -258,16 +251,7 @@ def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
         h = dual @ _spd_solve(h_c, dual.T)
         return f, g, 0.5 * (h + h.T)
 
-    def value_only(eta_hat):
-        try:
-            theta_c = solve_c(eta_hat)
-        except ImageMembershipError:
-            return np.inf
-        return float((dual.T @ eta_hat) @ theta_c - p.E_system.potential(theta_c)
-                     - eta_hat @ theta_a)
-
-    res = minimize_fgh(fgh, eta_init, grad_tol=grad_tol, value_only=value_only,
-                       extra_stop=extra_stop)
+    res = minimize_fgh(fgh, eta_init, grad_tol=grad_tol, extra_stop=extra_stop)
     if not res.converged:
         raise ProjectionError(
             f"inner dual minimization stalled (gradient norm {res.gradient_norm:.3e})")
@@ -323,9 +307,6 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
             fa, ga, ha = sys_a.value_grad_hess(theta_a - tail @ tb)
             fb, gb, hb = sys_b.value_grad_hess(tb)
             return fa + fb, gb - tail.T @ ga, tail.T @ ha @ tail + hb
-
-        def value_only(tb):
-            return sys_a.potential(theta_a - tail @ tb) + sys_b.potential(tb)
     else:
         jac = np.vstack([-tail, np.eye(p.l - p.k)])
 
@@ -334,10 +315,7 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
                 np.concatenate([theta_a - tail @ tb, tb]))
             return f, jac.T @ g, jac.T @ h @ jac
 
-        def value_only(tb):
-            return p.E_system.potential(np.concatenate([theta_a - tail @ tb, tb]))
-
-    res = minimize_fgh(fgh, tb0, value_only=value_only)
+    res = minimize_fgh(fgh, tb0)
     if not res.converged:
         raise ProjectionError("natural-parameter inner minimization stalled")
     tb = res.point
@@ -448,12 +426,12 @@ class _ProductSystem(BregmanSystem):
         return (fa + fb, np.concatenate([ga, gb]), scipy.linalg.block_diag(ha, hb))
 
 
-def em_conversion(p: ReverseEmProblem, tol: float = 1e-13,
-                  max_iter: int = 20000) -> EmConversionResult:
+def em_conversion(p: ReverseEmProblem, max_iter: int = 20) -> EmConversionResult:
     """Convert the maximization to an intersection search between auxiliary
-    mixture/exponential subfamilies of the product system and solve it by
-    ``em_minimize`` (with a final Newton polish of the intersection
-    equation)."""
+    mixture/exponential subfamilies of the product system: at most
+    ``max_iter`` alternating projections of ``em_minimize`` as a warm-up,
+    then a Newton polish of the intersection equation and a regularity test
+    of its Jacobian, which decide whether the families intersect."""
     k, l = p.k, p.l
     prod = _ProductSystem(p.M_system, p.E_system)
     u_hat = np.block([[np.eye(k), p.dual_matrix], [np.zeros((l, k)), -np.eye(l)]])
@@ -461,7 +439,7 @@ def em_conversion(p: ReverseEmProblem, tol: float = 1e-13,
     e_hat = ExponentialSubfamily(np.vstack([p.dual_matrix, np.eye(l)]), np.zeros(k + l))
 
     try:
-        run = em_minimize(prod, m_hat, e_hat, np.zeros(k + l), tol=tol,
+        run = em_minimize(prod, m_hat, e_hat, np.zeros(k + l), tol=1e-13,
                           max_iter=max_iter)
     except ProjectionError as exc:
         return EmConversionResult(False, None, None, None, np.inf, 0,
@@ -578,8 +556,7 @@ def minimize_split_potential(sys_b: BregmanSystem, mat: Array, rhs: Array) -> Ar
         f, g, h = sys_b.value_grad_hess(theta_b0 + kernel @ te)
         return f, kernel.T @ g, kernel.T @ h @ kernel
 
-    res = minimize_fgh(fgh, np.zeros(kernel.shape[1]),
-                       value_only=lambda te: sys_b.potential(theta_b0 + kernel @ te))
+    res = minimize_fgh(fgh, np.zeros(kernel.shape[1]))
     if not res.converged:
         raise ProjectionError("split-potential minimization stalled")
     return theta_b0 + kernel @ res.point

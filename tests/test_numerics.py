@@ -6,9 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chan1
+from conftest import chan1, random_features
 from revem import classical
-from revem.errors import InfeasibleSystemError
+from revem.bregman import classical_system, natural_param
+from revem.errors import InfeasibleSystemError, NumericalError
 from revem.numerics import (_chol_solve, _spd_solve, kernel_basis,
                             least_norm_solve, minimize_fgh)
 
@@ -162,3 +163,47 @@ def test_gradient_norm_matches_numpy_norm(rng):
         for scale in (1e-12, 1.0, 1e8):
             g = scale * rng.normal(size=dim)
             assert math.sqrt(float(g @ g)) == float(np.linalg.norm(g))
+
+
+def test_fgh_called_once_per_point(rng):
+    # natural_param's only evaluations are value_grad_hess, one per point.
+    for _ in range(10):
+        sys = classical_system(random_features(rng, 6, 3))
+        eta = sys.gradient(rng.normal(scale=2.0, size=3))
+        points = []
+        full = sys.value_grad_hess
+
+        def counted(theta):
+            points.append(np.asarray(theta, dtype=float).tobytes())
+            return full(theta)
+
+        sys.value_grad_hess = counted
+        sys.potential = None  # any value-only evaluation would fail
+        theta = natural_param(sys, eta)
+        assert np.allclose(full(theta)[1], eta, atol=1e-9)
+        assert len(points) == len(set(points)) > 1
+
+
+def test_infinite_value_beyond_wall_is_backtracked():
+    # f(x) = -x - log(1 - x) on x < 1, minimum at 0; from x0 = -3 the full
+    # Newton step lands at 9, beyond the wall.
+    calls = []
+
+    def fgh(x):
+        calls.append(float(x[0]))
+        if x[0] >= 1.0:
+            return math.inf, None, None
+        return (float(-x[0] - math.log(1.0 - x[0])), np.array([-1.0 + 1.0 / (1.0 - x[0])]),
+                np.array([[1.0 / (1.0 - x[0]) ** 2]]))
+
+    res = minimize_fgh(fgh, np.array([-3.0]), grad_tol=1e-12)
+    assert calls[1] == 9.0
+    assert res.converged
+    assert abs(res.point[0]) < 1e-9
+    assert len(calls) == len(set(calls))
+
+
+def test_non_finite_value_at_start_raises():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NumericalError):
+            minimize_fgh(lambda x, bad=bad: (bad, None, None), np.zeros(2))

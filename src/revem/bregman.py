@@ -113,12 +113,10 @@ class ClassicalSystem(BregmanSystem):
         return _logsumexp(self._logits(theta))[0]
 
     def _grad(self, theta):
-        return self.features.T @ self.distribution(theta)
+        return self.value_grad(theta)[1]
 
     def _hess(self, theta):
-        p = self.distribution(theta)
-        g = self.features.T @ p
-        return self.features.T @ (p[:, None] * self.features) - g[:, None] * g
+        return self.value_grad_hess(theta)[2]
 
     def value_grad(self, theta):
         f, p = _logsumexp(self._logits(np.asarray(theta, dtype=float)))

@@ -1,6 +1,7 @@
-"""Classical channel capacity: the dual-function construction, the geometry
-build for the reverse-em solvers, the non-iterative algorithm with its
-negative-support subset recursion, and the Blahut-Arimoto oracle.
+"""Classical channel capacity: dual functions, the reverse-em geometry, the
+iterative and em outcome assembly shared by every channel kind, the
+non-iterative algorithm with its negative-support subset recursion, and the
+Blahut-Arimoto oracle.
 """
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .bregman import ClassicalSystem, classical_system
+from .bregman import classical_system
 from .errors import (DegenerateChannelError, InfeasibleSystemError,
                      InvalidChannelError)
-from .reverse_em import (ReverseEmProblem, build_geometry,
+from .reverse_em import (CapacityGeometry, build_geometry, em_conversion,
                          minimize_split_potential, solve_reverse_em)
 
 Array = np.ndarray
@@ -204,31 +205,7 @@ def find_dual_functions(channel: Channel) -> Array:
     return f
 
 
-@dataclass(eq=False)
-class ChannelProblem:
-    """Reverse-em geometry of a classical channel plus coordinate helpers."""
-
-    channel: Channel
-    reg_matrix: Array
-    rem: ReverseEmProblem
-    theta_a_uniform: Array
-    moment_matrix: Array  # h_{i,j} over all n1 inputs
-
-    def decode_input(self, theta_a: Array) -> Array:
-        """Input distribution of the mixture-family member theta_a."""
-        sys: ClassicalSystem = self.rem.sys  # type: ignore[assignment]
-        joint = sys.distribution(self.rem.m_ambient(theta_a))
-        return joint.reshape(self.channel.n_inputs, self.channel.n_outputs).sum(axis=1)
-
-    def input_coord(self, q: Array) -> Array:
-        """Mixture-family coordinate of the member decoding to q (q > 0)."""
-        q = np.asarray(q, dtype=float)
-        if np.any(q <= 0):
-            raise InvalidChannelError("input distribution must be strictly positive")
-        return self.theta_a_uniform + np.log(q[:-1] / q[-1])
-
-
-def build_problem(channel: Channel) -> ChannelProblem:
+def build_problem(channel: Channel) -> CapacityGeometry:
     """Construct the Bregman geometry whose mixture family is {W x q} and
     whose exponential family is the product distributions on X x Y.
 
@@ -261,24 +238,61 @@ def build_problem(channel: Channel) -> ChannelProblem:
 
     joint_uniform = (reg / n1).T.reshape(-1)
     entropies = np.array([entropy(reg[:, x]) for x in range(n1)])
-    rem, theta_a_uniform = build_geometry(
+    return build_geometry(
         classical_system(feats), feats, gens, k, feats.T @ joint_uniform,
         (classical_system(f), entropies))
-    return ChannelProblem(channel, reg, rem, theta_a_uniform, h)
+
+
+def iterative_outcome(geo: CapacityGeometry, objective: Callable[[Array], float],
+                      tol: float, max_iter: int) -> CapacityOutcome:
+    """Natural-step reverse-em solve from the uniform input, reported as the
+    raw channel's ``objective`` at the decoded input distribution."""
+    trace = solve_reverse_em(geo.rem, geo.theta_a_uniform, stepper="natural",
+                             tol=tol, max_iter=max_iter)
+    q = geo.decode_input(trace.theta_a)
+    return CapacityOutcome(objective(q), q, (), "iterative",
+                           iterations=trace.iterations,
+                           residual=float(trace.fixed_point_residuals[-1]),
+                           converged=trace.converged)
+
+
+def em_outcome(geo: CapacityGeometry,
+               objective: Callable[[Array], float]) -> CapacityOutcome:
+    """em-conversion solve, reported as ``objective`` at the decoded input
+    distribution; NaN with ``converged=False`` when the auxiliary families
+    do not intersect."""
+    conv = em_conversion(geo.rem)
+    found = conv.intersection_found
+    q = geo.decode_input(conv.theta_a) if found else np.full(geo.rem.k + 1, np.nan)
+    return CapacityOutcome(objective(q) if found else float("nan"), q, (), "em",
+                           iterations=conv.iterations, residual=conv.residual,
+                           converged=found)
 
 
 def capacity_iterative(channel: Channel, tol: float = 1e-10,
                        max_iter: int = 10000) -> CapacityOutcome:
     """Reverse-em capacity from the uniform input coordinate (natural step)."""
-    prob = build_problem(channel)
-    trace = solve_reverse_em(prob.rem, prob.theta_a_uniform, stepper="natural",
-                             tol=tol, max_iter=max_iter)
-    q = prob.decode_input(trace.theta_a)
-    capacity = mutual_information(channel.matrix, q)
-    return CapacityOutcome(capacity, q, (), "iterative",
-                           iterations=trace.iterations,
-                           residual=float(trace.fixed_point_residuals[-1]),
-                           converged=trace.converged)
+    return iterative_outcome(build_problem(channel),
+                             lambda q: mutual_information(channel.matrix, q),
+                             tol, max_iter)
+
+
+def capacity_em(channel: Channel) -> CapacityOutcome:
+    """em-conversion capacity; NaN and ``converged=False`` on a boundary optimum."""
+    return em_outcome(build_problem(channel),
+                      lambda q: mutual_information(channel.matrix, q))
+
+
+def restrict_inputs(n_inputs: int, input_subset: Optional[Sequence[int]]
+                    ) -> Tuple[Tuple[int, ...], Optional[CapacityOutcome]]:
+    """The checked input subset of a special-case solve (all inputs when
+    None) and, for a single input, its point-mass outcome of capacity 0."""
+    subset = tuple(range(n_inputs) if input_subset is None else map(int, input_subset))
+    if len(set(subset)) != len(subset) or any(x < 0 or x >= n_inputs for x in subset):
+        raise InvalidChannelError("input subset must be distinct valid indices")
+    if len(subset) != 1:
+        return subset, None
+    return subset, CapacityOutcome(0.0, np.eye(n_inputs)[subset[0]], (), "noniterative")
 
 
 def special_outcome(subset: Tuple[int, ...], n_inputs: int, columns: Array,
@@ -312,15 +326,10 @@ def capacity_special(channel: Channel,
     boundary optimum (the candidate value then only bounds the capacity).
     """
     mat = channel.matrix
-    n2, n1 = mat.shape
-    subset = tuple(range(n1)) if input_subset is None else tuple(int(x) for x in input_subset)
-    if len(set(subset)) != len(subset) or any(x < 0 or x >= n1 for x in subset):
-        raise InvalidChannelError("input subset must be distinct valid indices")
-
-    if len(subset) == 1:
-        full_dist = np.zeros(n1)
-        full_dist[subset[0]] = 1.0
-        return CapacityOutcome(0.0, full_dist, (), "noniterative")
+    n1 = channel.n_inputs
+    subset, single = restrict_inputs(n1, input_subset)
+    if single is not None:
+        return single
 
     cols = mat[:, subset]
     f = find_dual_functions(Channel(cols))

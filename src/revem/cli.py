@@ -16,7 +16,6 @@ import numpy as np
 
 from . import channel_io, classical, cq, wiretap
 from .errors import RevemError
-from .reverse_em import em_conversion
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,16 +58,7 @@ def _compute(kind: str, method: str, channel, tol: float) -> classical.CapacityO
         if method in ("ba", "oracle"):
             return classical.blahut_arimoto(channel, tol=tol)
         if method == "em":
-            prob = classical.build_problem(channel)
-            conv = em_conversion(prob.rem)
-            if not conv.intersection_found:
-                return classical.CapacityOutcome(
-                    float("nan"), np.full(channel.n_inputs, np.nan), (), "em",
-                    converged=False)
-            q = prob.decode_input(conv.theta_a)
-            return classical.CapacityOutcome(
-                classical.mutual_information(channel.matrix, q), q, (), "em",
-                iterations=conv.iterations, residual=conv.em_gap)
+            return classical.capacity_em(channel)
         raise channel_io.ChannelFormatError(f"method {method!r} not available for classical")
     if kind == "wiretap":
         if method == "iterative":

@@ -11,11 +11,12 @@ import numpy as np
 
 from .bregman import quantum_system
 from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome,
-                        special_outcome, subset_recursion)
+                        iterative_outcome, restrict_inputs, special_outcome,
+                        subset_recursion)
 from .errors import DegenerateChannelError, DomainError, InvalidChannelError
 from .numerics import maximize_on_unit_interval
-from .reverse_em import (ReverseEmProblem, build_geometry,
-                         minimize_split_potential, solve_reverse_em)
+from .reverse_em import (CapacityGeometry, build_geometry,
+                         minimize_split_potential)
 
 Array = np.ndarray
 
@@ -61,14 +62,14 @@ def von_neumann_entropy(rho: Array) -> float:
     return float(-np.sum(pos * np.log(pos)))
 
 
-def _tr_rho_log_sigma(rho: Array, sigma: Array, support_tol: float = 1e-10) -> float:
-    """Tr rho log sigma on the support of sigma; rejects support violations."""
+def _tr_rho_log_sigma(rho: Array, sigma: Array) -> float:
+    """Tr rho log sigma on sigma's support; rejects weight above 1e-10 outside it."""
     evals, evecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
     floor = EIGEN_FLOOR * max(float(evals[-1]), 0.0)
     keep = evals > max(floor, 0.0)
     weights = np.einsum("ip,ij,jp->p", evecs.conj(), rho, evecs).real
     outside = float(np.sum(weights[~keep]))
-    if outside > support_tol:
+    if outside > 1e-10:
         raise DomainError(
             f"state has weight {outside:.3e} outside the support of the reference")
     return float(np.sum(weights[keep] * np.log(evals[keep])))
@@ -118,30 +119,12 @@ def _observable_basis(reference: Array) -> Array:
     return np.asarray([g - s * eye for g, s in zip(basis, shifts)])
 
 
-@dataclass(eq=False)
-class CQProblem:
-    """Reverse-em geometry of a cq channel plus coordinate helpers."""
-
-    channel: CQChannel
-    reg_states: Array
-    rem: ReverseEmProblem
-    theta_a_uniform: Array
-
-    def decode_input(self, theta_a: Array) -> Array:
-        sys = self.rem.sys
-        rho = sys.state(self.rem.m_ambient(theta_a))  # type: ignore[attr-defined]
-        n1, n2 = self.channel.n_inputs, self.channel.dim
-        blocks = rho.reshape(n1, n2, n1, n2)
-        p = np.array([np.trace(blocks[i, :, i, :]).real for i in range(n1)])
-        return p / p.sum()
-
-
 def _regularize(states: Array, weight: float) -> Array:
     dim = states.shape[1]
     return (1.0 - weight) * states + weight * np.eye(dim)[None, :, :] / dim
 
 
-def build_problem(channel: CQChannel) -> CQProblem:
+def build_problem(channel: CQChannel) -> CapacityGeometry:
     """Geometry on the joint classical-quantum system C x H_A.
 
     The exponential family is the product states; the mixture family decodes
@@ -200,25 +183,17 @@ def build_problem(channel: CQChannel) -> CQProblem:
     for i in range(n1):
         rho_uniform += embed(i, reg[i]) / n1
     entropies = np.array([von_neumann_entropy(reg[i]) for i in range(n1)])
-    rem, theta_a_uniform = build_geometry(
+    return build_geometry(
         quantum_system(xis), xi_vecs, g_vecs, k,
         np.einsum("mab,ba->m", xis, rho_uniform).real,
         (quantum_system(obs), entropies))
-    return CQProblem(channel, reg, rem, theta_a_uniform)
 
 
 def capacity_cq_iterative(channel: CQChannel, tol: float = 1e-10,
                           max_iter: int = 10000) -> CapacityOutcome:
     """Reverse-em capacity (maximal Holevo quantity) from uniform input."""
-    prob = build_problem(channel)
-    trace = solve_reverse_em(prob.rem, prob.theta_a_uniform, stepper="natural",
-                             tol=tol, max_iter=max_iter)
-    p = prob.decode_input(trace.theta_a)
-    capacity = holevo(p, channel)
-    return CapacityOutcome(capacity, p, (), "iterative",
-                           iterations=trace.iterations,
-                           residual=float(trace.fixed_point_residuals[-1]),
-                           converged=trace.converged)
+    return iterative_outcome(build_problem(channel), lambda p: holevo(p, channel),
+                             tol, max_iter)
 
 
 def cq_capacity_special(channel: CQChannel,
@@ -230,14 +205,9 @@ def cq_capacity_special(channel: CQChannel,
     for the input weights whose negative entries flag a boundary optimum.
     """
     n1 = channel.n_inputs
-    subset = tuple(range(n1)) if input_subset is None else tuple(int(x) for x in input_subset)
-    if len(set(subset)) != len(subset) or any(x < 0 or x >= n1 for x in subset):
-        raise InvalidChannelError("input subset must be distinct valid indices")
-
-    if len(subset) == 1:
-        full_dist = np.zeros(n1)
-        full_dist[subset[0]] = 1.0
-        return CapacityOutcome(0.0, full_dist, (), "noniterative")
+    subset, single = restrict_inputs(n1, input_subset)
+    if single is not None:
+        return single
 
     states = channel.states[list(subset)]
     m = len(subset)

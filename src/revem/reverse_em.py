@@ -13,7 +13,7 @@ projection map invertible.  Three routes solve the problem:
   minimization of the second split potential over the kernel of the dual
   moment matrix (``minimize_split_potential``).
 
-``build_geometry`` assembles the problem shared by the capacity modules.
+``build_geometry`` builds the ``CapacityGeometry`` of every capacity module.
 """
 from __future__ import annotations
 
@@ -101,6 +101,22 @@ class ReverseEmProblem:
         return np.linalg.solve(self.family_M.basis, np.asarray(theta, dtype=float))[:self.k]
 
 
+@dataclass(eq=False)
+class CapacityGeometry:
+    """A channel's reverse-em problem and the mixture coordinate of its
+    uniform input.  The first k features of every capacity geometry are the
+    indicators of inputs 1..k, so a member's mixture coordinate is its input
+    distribution without the last weight."""
+
+    rem: ReverseEmProblem
+    theta_a_uniform: Array
+
+    def decode_input(self, theta_a: Array) -> Array:
+        """Input distribution of the mixture-family member theta_a."""
+        eta = self.rem.M_system.gradient(theta_a)
+        return np.append(eta, 1.0 - eta.sum())
+
+
 @dataclass
 class SolveTrace:
     """Iteration record of a reverse-em solve."""
@@ -109,7 +125,6 @@ class SolveTrace:
     fixed_point_residuals: Array
     iterations: int
     capacity: float
-    maximizer_mixture_coord: Array
     theta_a: Array
     converged: bool
 
@@ -131,13 +146,15 @@ class EmConversionResult:
 
     ``intersection_found`` is False when the auxiliary families do not meet
     (the maximizer sits on the boundary and the supremum is not attained).
+    ``residual`` is the norm of the intersection equation at the returned
+    point, or infinite when no intersection is found.
     """
 
     intersection_found: bool
     capacity: Optional[float]
     theta_a: Optional[Array]
     theta_c: Optional[Array]
-    em_gap: float
+    residual: float
     iterations: int
     message: str = ""
 
@@ -376,15 +393,12 @@ def solve_reverse_em(p: ReverseEmProblem, theta_init: Array,
             theta_a = inverse_step_eps(p, theta_a, eps, state)
 
     best = int(np.argmax(objectives)) if stepper == "eps" else len(objectives) - 1
-    theta_best = iterates[best]
-    eta_best = p.M_system.gradient(theta_best)
     return SolveTrace(
         objective_values=np.asarray(objectives),
         fixed_point_residuals=np.asarray(residuals),
         iterations=len(objectives) - 1,
         capacity=float(objectives[best]),
-        maximizer_mixture_coord=eta_best,
-        theta_a=theta_best,
+        theta_a=iterates[best],
         converged=converged,
     )
 
@@ -406,12 +420,10 @@ class _ProductSystem(BregmanSystem):
         return self.first.potential(a) + self.second.potential(b)
 
     def _grad(self, x):
-        a, b = self._parts(x)
-        return np.concatenate([self.first.gradient(a), self.second.gradient(b)])
+        return self.value_grad(x)[1]
 
     def _hess(self, x):
-        a, b = self._parts(x)
-        return scipy.linalg.block_diag(self.first.hessian(a), self.second.hessian(b))
+        return self.value_grad_hess(x)[2]
 
     def value_grad(self, x):
         a, b = self._parts(np.asarray(x, dtype=float))
@@ -444,17 +456,15 @@ def em_conversion(p: ReverseEmProblem, max_iter: int = 20) -> EmConversionResult
     except ProjectionError as exc:
         return EmConversionResult(False, None, None, None, np.inf, 0,
                                   f"projection failure: {exc}")
-    gap, it = run.c_inf, run.iterations
+    it = run.iterations
     if np.max(np.abs(run.theta_M)) > _EM_NORM_GUARD:
-        return EmConversionResult(False, None, None, None, gap, it,
+        return EmConversionResult(False, None, None, None, np.inf, it,
                                   "iterates diverged: families do not intersect")
     status = "converged" if run.converged else "max_iter"
-    theta_c = run.theta_E[k:]
-    polished = _polish_intersection(p, theta_c)
-    if polished is None:
-        return EmConversionResult(False, None, None, None, gap, it,
+    theta_c, residual = _polish_intersection(p, run.theta_E[k:])
+    if not residual <= 1e-8:
+        return EmConversionResult(False, None, None, None, np.inf, it,
                                   f"intersection polish failed ({status})")
-    theta_c = polished
     # A genuine (transversal) intersection has a regular defining Jacobian;
     # a supremum approached at infinity leaves a numerically singular one
     # along the drift direction even when the residual is tiny.
@@ -462,18 +472,19 @@ def em_conversion(p: ReverseEmProblem, max_iter: int = 20) -> EmConversionResult
            - p.E_system.hessian(theta_c))
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals[-1] <= 1e-8 * svals[0]:
-        return EmConversionResult(False, None, None, None, gap, it,
+        return EmConversionResult(False, None, None, None, np.inf, it,
                                   "degenerate intersection: supremum not attained "
                                   "in the interior")
     theta_a = p.dual_matrix @ theta_c
     capacity = divergence(p.sys, p.m_ambient(theta_a), p.e_ambient(theta_c))
-    return EmConversionResult(True, float(capacity), theta_a, theta_c, gap, it)
+    return EmConversionResult(True, float(capacity), theta_a, theta_c, residual, it)
 
 
-def _polish_intersection(p: ReverseEmProblem, theta_c: Array,
-                         tol: float = 1e-12, max_iter: int = 60) -> Optional[Array]:
+def _polish_intersection(p: ReverseEmProblem, theta_c: Array) -> Tuple[Array, float]:
     """Damped Newton on the intersection equation
-    dual_matrix^T grad F_M(dual_matrix theta_c) = grad F_E(theta_c)."""
+    dual_matrix^T grad F_M(dual_matrix theta_c) = grad F_E(theta_c), for at
+    most 60 steps or until the residual norm is 1e-12; returns the point and
+    its residual norm, which is infinite when a step fails."""
     x = np.asarray(theta_c, dtype=float).copy()
 
     def res_jac(z):
@@ -486,13 +497,13 @@ def _polish_intersection(p: ReverseEmProblem, theta_c: Array,
 
     r, jac = res_jac(x)
     rnorm = np.linalg.norm(r)
-    for _ in range(max_iter):
-        if rnorm <= tol:
-            return x
+    for _ in range(60):
+        if rnorm <= 1e-12:
+            break
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
-            return None
+            return x, math.inf
         t = 1.0
         while t > 1e-12:
             x_new = x + t * step
@@ -509,8 +520,8 @@ def _polish_intersection(p: ReverseEmProblem, theta_c: Array,
                 break
             t *= 0.5
         else:
-            return None
-    return x if rnorm <= 1e-8 else None
+            return x, math.inf
+    return x, float(rnorm)
 
 
 def compute_dual_offset(p: ReverseEmProblem, n_checks: int = 3,
@@ -603,8 +614,8 @@ def non_iterative(p: ReverseEmProblem) -> NonIterativeResult:
 def build_geometry(sys: BregmanSystem, feature_vecs: Array, generator_vecs: Array,
                    k: int, eta_uniform: Array,
                    split_b: Optional[Tuple[BregmanSystem, Array]]
-                   ) -> Tuple[ReverseEmProblem, Array]:
-    """The reverse-em problem of a capacity geometry with k + 1 inputs.
+                   ) -> CapacityGeometry:
+    """The capacity geometry of a channel with k + 1 inputs.
 
     The generators of the exponential family (columns of ``generator_vecs``)
     are fitted in the feature basis (columns of ``feature_vecs``) by least
@@ -612,8 +623,8 @@ def build_geometry(sys: BregmanSystem, feature_vecs: Array, generator_vecs: Arra
     uniform-input point, the gradient-map preimage of ``eta_uniform``.
     ``split_b`` is None or a pair (F_b, per-input entropies): the exponential
     potential then splits into input indicators and F_b, and the dual
-    offset is the entropy difference to the last input.  Returns the problem
-    and the mixture coordinate of the uniform input.
+    offset is the entropy difference to the last input.  The first k
+    features must be the indicators of inputs 1..k (see ``CapacityGeometry``).
     """
     v_mat, *_ = np.linalg.lstsq(feature_vecs, generator_vecs, rcond=None)
     if np.max(np.abs(feature_vecs @ v_mat - generator_vecs)) > 1e-9:
@@ -630,4 +641,4 @@ def build_geometry(sys: BregmanSystem, feature_vecs: Array, generator_vecs: Arra
     rem = ReverseEmProblem(sys=sys, family_E=family_e, family_M=family_m,
                            theta_tail=theta_uniform[k:], split=split,
                            dual_offset=dual_offset)
-    return rem, theta_uniform[:k]
+    return CapacityGeometry(rem, theta_uniform[:k])

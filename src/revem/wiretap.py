@@ -15,10 +15,11 @@ import scipy.optimize
 
 from .bregman import classical_system
 from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome,
-                        _difference_duals, entropy, mutual_information)
+                        _difference_duals, entropy, iterative_outcome,
+                        mutual_information)
 from .errors import InvalidChannelError, NotDegradedError
 from .numerics import maximize_on_unit_interval
-from .reverse_em import ReverseEmProblem, build_geometry, solve_reverse_em
+from .reverse_em import CapacityGeometry, build_geometry
 
 Array = np.ndarray
 
@@ -27,13 +28,12 @@ Array = np.ndarray
 class WiretapChannel:
     """Channel X -> Z x Y; ``tensor[x, z, y]`` = W(z, y | x).
 
-    Z is the eavesdropper's alphabet and Y the legitimate receiver's.  The
-    ``degraded`` flag asserts the Markov chain X - Y - Z; it is verified by
-    ``check_degraded`` before the secrecy formula is trusted.
+    Z is the eavesdropper's alphabet and Y the legitimate receiver's.  Any
+    such channel is accepted; ``secrecy_capacity`` verifies the Markov chain
+    X - Y - Z with ``check_degraded`` before it trusts the secrecy formula.
     """
 
     tensor: Array
-    degraded: bool = True
 
     def __post_init__(self):
         self.tensor = np.asarray(self.tensor, dtype=float)
@@ -123,23 +123,7 @@ def conditional_objective(channel: WiretapChannel, q: Array) -> float:
     return float(total)
 
 
-@dataclass(eq=False)
-class WiretapProblem:
-    """Reverse-em geometry of a wiretap channel plus coordinate helpers."""
-
-    channel: WiretapChannel
-    reg_tensor: Array
-    rem: ReverseEmProblem
-    theta_a_uniform: Array
-
-    def decode_input(self, theta_a: Array) -> Array:
-        sys = self.rem.sys
-        joint = sys.distribution(self.rem.m_ambient(theta_a))  # type: ignore[attr-defined]
-        shape = (self.channel.n_inputs, self.channel.n_eve, self.channel.n_bob)
-        return joint.reshape(shape).sum(axis=(1, 2))
-
-
-def build_problem(channel: WiretapChannel) -> WiretapProblem:
+def build_problem(channel: WiretapChannel) -> CapacityGeometry:
     """Construct the X-Z-Y geometry; the mixture family decodes to {W x q}.
 
     The geometry uses the channel regularized by GEOMETRY_REGULARIZATION.
@@ -214,9 +198,8 @@ def build_problem(channel: WiretapChannel) -> WiretapProblem:
         raise InvalidChannelError("internal: feature/generator block counts")
 
     joint_uniform = (reg / n1).reshape(-1)
-    rem, theta_a_uniform = build_geometry(classical_system(feats), feats, gens, k,
-                                          feats.T @ joint_uniform, None)
-    return WiretapProblem(channel, reg, rem, theta_a_uniform)
+    return build_geometry(classical_system(feats), feats, gens, k,
+                          feats.T @ joint_uniform, None)
 
 
 def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10,
@@ -230,15 +213,8 @@ def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10,
     if not feasible:
         raise NotDegradedError(
             f"channel fails the X-Y-Z degradedness check (residual {residual:.3e})")
-    prob = build_problem(channel)
-    trace = solve_reverse_em(prob.rem, prob.theta_a_uniform, stepper="natural",
-                             tol=tol, max_iter=max_iter)
-    q = prob.decode_input(trace.theta_a)
-    capacity = secrecy_objective(channel, q)
-    return CapacityOutcome(capacity, q, (), "iterative",
-                           iterations=trace.iterations,
-                           residual=float(trace.fixed_point_residuals[-1]),
-                           converged=trace.converged)
+    return iterative_outcome(build_problem(channel),
+                             lambda q: secrecy_objective(channel, q), tol, max_iter)
 
 
 def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:

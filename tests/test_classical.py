@@ -3,6 +3,7 @@ import pytest
 
 from conftest import chan1, random_channel
 from revem import reverse_em as rem
+from revem.bregman import natural_param
 from revem.classical import (Channel, blahut_arimoto, build_problem,
                              capacity_general, capacity_iterative,
                              capacity_special, entropy, find_dual_functions,
@@ -74,7 +75,7 @@ def test_build_problem_structure(rng):
         theta_a = 0.6 * rng.normal(size=k)
         joint = p.sys.distribution(p.m_ambient(theta_a)).reshape(4, 4)
         q = joint.sum(axis=1)
-        assert np.max(np.abs(joint - prob.reg_matrix.T * q[:, None])) < 1e-9
+        assert np.max(np.abs(joint - channel.matrix.T * q[:, None])) < 1e-9
     # the zero coordinate of E is the uniform product distribution
     uniform = p.sys.distribution(p.e_ambient(np.zeros(p.l)))
     assert np.max(np.abs(uniform - 1.0 / 16)) < 1e-14
@@ -83,7 +84,8 @@ def test_build_problem_structure(rng):
     assert np.max(np.abs(prob.decode_input(prob.theta_a_uniform) - 0.25)) < 1e-10
     # round trip q -> coordinate -> q
     q = np.array([0.4, 0.3, 0.2, 0.1])
-    assert np.max(np.abs(prob.decode_input(prob.input_coord(q)) - q)) < 1e-10
+    coord = natural_param(p.M_system, q[:-1])
+    assert np.max(np.abs(prob.decode_input(coord) - q)) < 1e-10
 
 
 def test_objective_identity_and_bound(rng):
@@ -95,7 +97,7 @@ def test_objective_identity_and_bound(rng):
         theta_a = 0.6 * rng.normal(size=p.k)
         obj, _, _ = rem._objective_and_residual(p, theta_a, state)
         q = prob.decode_input(theta_a)
-        assert abs(obj - mutual_information(prob.reg_matrix, q)) < 1e-9
+        assert abs(obj - mutual_information(channel.matrix, q)) < 1e-9
         # divergence to the uniform-input member never exceeds log n1
         gap = (rem.divergence(p.sys, p.m_ambient(theta_a),
                               p.m_ambient(prob.theta_a_uniform)))

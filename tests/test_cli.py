@@ -168,3 +168,23 @@ def test_em_method_command(capsys):
     p = 0.15
     analytic = np.log(2) + p * np.log(p) + (1 - p) * np.log(1 - p)
     assert abs(cap - analytic) < 1e-8
+
+
+def _field(out, name):
+    return float(out.split(f"{name}: ")[1].split()[0])
+
+
+def test_em_reports_intersection_residual(capsys):
+    assert main(["capacity", "--template", "chan1:0.5", "--method", "em"]) == 0
+    out = capsys.readouterr().out
+    assert _field(out, "residual") <= 1e-8
+    assert main(["capacity", "--template", "chan1:0.5",
+                 "--method", "noniterative"]) == 0
+    assert abs(_field(out, "capacity")
+               - _field(capsys.readouterr().out, "capacity")) <= 1e-9
+
+
+def test_em_without_intersection_exits_noconv(capsys):
+    # past the support transition the supremum is not attained
+    assert main(["capacity", "--template", "chan1:0.76", "--method", "em"]) == 3
+    assert "capacity: nan" in capsys.readouterr().out

@@ -87,7 +87,7 @@ def test_build_problem_structure(rng):
     blocks = rho.reshape(n1, n2, n1, n2)
     q = prob.decode_input(theta_a)
     for i in range(n1):
-        assert np.max(np.abs(blocks[i, :, i, :] - q[i] * prob.reg_states[i])) < 1e-9
+        assert np.max(np.abs(blocks[i, :, i, :] - q[i] * ch.states[i])) < 1e-9
 
 
 def test_objective_identity_holevo(rng):
@@ -99,8 +99,7 @@ def test_objective_identity_holevo(rng):
         theta_a = 0.5 * rng.normal(size=p.k)
         obj, _, _ = rem._objective_and_residual(p, theta_a, state)
         q = prob.decode_input(theta_a)
-        reg_ch = CQChannel(prob.reg_states)
-        assert abs(obj - holevo(q, reg_ch)) < 1e-8
+        assert abs(obj - holevo(q, ch)) < 1e-8
 
 
 def test_identical_states_zero_capacity(rng):

@@ -3,10 +3,11 @@ import pytest
 
 from conftest import chan1, random_channel, random_features
 from revem import reverse_em as rem
-from revem import wiretap
+from revem import cq, wiretap
 from revem.bregman import classical_system, divergence, natural_param
-from revem.classical import (Channel, blahut_arimoto, build_problem,
-                             capacity_special, mutual_information)
+from revem.classical import (Channel, _difference_duals, blahut_arimoto,
+                             build_problem, capacity_special,
+                             mutual_information)
 from revem.errors import ConditionViolationError
 from revem.families import (ExponentialSubfamily, MixtureSubfamily,
                             e_projection, m_projection)
@@ -17,10 +18,12 @@ def bsc_problem(p=0.1):
 
 
 def test_v1_block_structure(rng):
-    prob = build_problem(chan1(0.1))
+    mat = chan1(0.1).matrix
+    prob = build_problem(Channel(mat))
     k = prob.rem.k
+    moments = mat.T @ _difference_duals(mat[:, -1])
     assert np.max(np.abs(prob.rem.dual_matrix[:, :k] - np.eye(k))) < 1e-12
-    assert np.max(np.abs(prob.rem.dual_matrix[:, k:] - prob.moment_matrix[:k])) < 1e-9
+    assert np.max(np.abs(prob.rem.dual_matrix[:, k:] - moments[:k])) < 1e-9
 
 
 def test_bsc_uniform_is_fixed_point():
@@ -35,10 +38,10 @@ def test_fixed_point_matches_ba_optimum():
     channel = chan1(0.0)
     prob = build_problem(channel)
     ba = blahut_arimoto(channel, tol=1e-13)
-    coord = prob.input_coord(ba.input_distribution)
+    coord = natural_param(prob.rem.M_system, ba.input_distribution[:-1])
     assert rem.fixed_point_residual(prob.rem, coord) < 1e-6
     # a clearly suboptimal point is far from fixed
-    off = prob.input_coord(np.array([0.7, 0.1, 0.1, 0.1]))
+    off = natural_param(prob.rem.M_system, np.array([0.7, 0.1, 0.1]))
     assert rem.fixed_point_residual(prob.rem, off) > 1e-3
     # launching the solver at the optimum barely moves it
     trace = rem.solve_reverse_em(prob.rem, coord, stepper="natural", max_iter=3)
@@ -296,3 +299,34 @@ def test_steps_store_m_projection_of_new_iterate(rng):
             target = p.family_E.generators.T @ p.sys.gradient(p.m_ambient(theta_new))
             expected = natural_param(p.E_system, target, grad_tol=1e-12)
             assert np.max(np.abs(state["theta_c"] - expected)) < 1e-8
+
+
+def _input_marginal(kind, geo, theta_a):
+    """Input marginal of the member theta_a, read off its joint."""
+    amb = geo.rem.m_ambient(theta_a)
+    n1 = geo.rem.k + 1
+    if kind == "cq":
+        rho = geo.rem.sys.state(amb)
+        blocks = rho.reshape(n1, rho.shape[0] // n1, n1, rho.shape[0] // n1)
+        return np.array([np.trace(blocks[i, :, i, :]).real for i in range(n1)])
+    return geo.rem.sys.distribution(amb).reshape(n1, -1).sum(axis=1)
+
+
+@pytest.mark.parametrize("kind", ["classical", "wiretap", "cq"])
+def test_decode_input_is_input_marginal(kind, rng):
+    if kind == "classical":
+        geo = build_problem(random_channel(rng, 3, 4))
+    elif kind == "wiretap":
+        bob = rng.dirichlet(np.ones(3), size=3).T
+        t_map = rng.dirichlet(np.ones(2), size=3).T
+        geo = wiretap.build_problem(
+            wiretap.WiretapChannel(np.einsum("zy,yx->xzy", t_map, bob)))
+    else:
+        a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        states = a @ a.conj().transpose(0, 2, 1)
+        geo = cq.build_problem(cq.CQChannel(
+            states / np.trace(states, axis1=1, axis2=2).real[:, None, None]))
+    for _ in range(50):
+        theta_a = rng.normal(size=geo.rem.k)
+        q = geo.decode_input(theta_a)
+        assert np.max(np.abs(q - _input_marginal(kind, geo, theta_a))) <= 1e-12

@@ -125,7 +125,6 @@ def test_v1_block_pattern(rng):
     zero_width = n1 * (n2 - 1)
     assert np.max(np.abs(p.dual_matrix[:, k:k + zero_width])) < 1e-10
     # trailing block carries the joint dual moments
-    reg = prob.reg_tensor
     duals_block = p.dual_matrix[:, k + zero_width:]
     assert duals_block.shape == (k, n2 * (n3 - 1))
 

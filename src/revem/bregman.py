@@ -25,6 +25,8 @@ class BregmanSystem:
 
     Instances are immutable after construction; every method is a pure
     function of its arguments, so systems are safe to share across threads.
+    The systems ``families`` projects onto also have ``restrict(generators,
+    offset)``, the system of the slice theta = offset + generators @ coords.
     """
 
     def __init__(self, dim: int,
@@ -54,35 +56,6 @@ class BregmanSystem:
 
     def value_grad_hess(self, theta: Array):
         return self.potential(theta), self.gradient(theta), self.hessian(theta)
-
-    def restrict(self, generators: Array, offset: Array) -> "BregmanSystem":
-        """System for the affine slice theta = offset + generators @ coords."""
-        gens = np.asarray(generators, dtype=float)
-        off = np.asarray(offset, dtype=float)
-        parent = self
-
-        def pot(c):
-            return parent.potential(off + gens @ c)
-
-        def grad(c):
-            return gens.T @ parent.gradient(off + gens @ c)
-
-        def hess(c):
-            return gens.T @ parent.hessian(off + gens @ c) @ gens
-
-        sub = BregmanSystem(gens.shape[1], pot, grad, hess)
-
-        def vg(c):
-            f, g = parent.value_grad(off + gens @ c)
-            return f, gens.T @ g
-
-        def vgh(c):
-            f, g, h = parent.value_grad_hess(off + gens @ c)
-            return f, gens.T @ g, gens.T @ h @ gens
-
-        sub.value_grad = vg
-        sub.value_grad_hess = vgh
-        return sub
 
 
 def _logsumexp(v: Array):

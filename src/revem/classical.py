@@ -317,6 +317,11 @@ def special_outcome(subset: Tuple[int, ...], n_inputs: int, columns: Array,
                            residual=solve_residual)
 
 
+def oracle_outcome(value: float, n_inputs: int) -> CapacityOutcome:
+    """Outcome of an oracle that reports a value but no input distribution."""
+    return CapacityOutcome(value, np.full(n_inputs, np.nan), (), "oracle")
+
+
 def capacity_special(channel: Channel,
                      input_subset: Optional[Sequence[int]] = None) -> CapacityOutcome:
     """Non-iterative candidate capacity on a restricted input set.

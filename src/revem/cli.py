@@ -64,18 +64,14 @@ def _compute(kind: str, method: str, channel, tol: float) -> classical.CapacityO
         if method == "iterative":
             return wiretap.secrecy_capacity(channel, tol=tol)
         if method == "oracle":
-            value = wiretap.secrecy_oracle(channel)
-            return classical.CapacityOutcome(
-                value, np.full(channel.n_inputs, np.nan), (), "oracle")
+            return classical.oracle_outcome(wiretap.secrecy_oracle(channel), channel.n_inputs)
         raise channel_io.ChannelFormatError(f"method {method!r} not available for wiretap")
     if method == "iterative":
         return cq.capacity_cq_iterative(channel, tol=tol)
     if method == "noniterative":
         return cq.capacity_cq_noniterative(channel)
     if method == "oracle":
-        value = cq.holevo_oracle(channel)
-        return classical.CapacityOutcome(
-            value, np.full(channel.n_inputs, np.nan), (), "oracle")
+        return classical.oracle_outcome(cq.holevo_oracle(channel), channel.n_inputs)
     raise channel_io.ChannelFormatError(f"method {method!r} not available for cq")
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .bregman import BregmanSystem, classical_system, divergence, natural_param
 from .errors import (ConditionViolationError, ImageMembershipError,
@@ -403,17 +402,20 @@ def solve_reverse_em(p: ReverseEmProblem, theta_init: Array,
     )
 
 
-class _ProductSystem(BregmanSystem):
-    """Direct sum of two Bregman systems (block-diagonal Hessian)."""
+class _SumSystem(BregmanSystem):
+    """F_1(a) + F_2(b) with (a, b) = _parts(x); here a = b = x, which is how
+    a slice of a direct sum evaluates: as the sum of its factors' slices."""
 
-    def __init__(self, first: BregmanSystem, second: BregmanSystem):
+    def __init__(self, first: BregmanSystem, second: BregmanSystem, dim: int):
         self.first = first
         self.second = second
-        self.split_at = first.dim
-        super().__init__(first.dim + second.dim, self._pot, self._grad, self._hess)
+        super().__init__(dim, self._pot, self._grad, self._hess)
 
     def _parts(self, x):
-        return x[:self.split_at], x[self.split_at:]
+        return x, x
+
+    def _join(self, u, v):
+        return u + v
 
     def _pot(self, x):
         a, b = self._parts(x)
@@ -429,13 +431,40 @@ class _ProductSystem(BregmanSystem):
         a, b = self._parts(np.asarray(x, dtype=float))
         fa, ga = self.first.value_grad(a)
         fb, gb = self.second.value_grad(b)
-        return fa + fb, np.concatenate([ga, gb])
+        return fa + fb, self._join(ga, gb)
 
     def value_grad_hess(self, x):
         a, b = self._parts(np.asarray(x, dtype=float))
         fa, ga, ha = self.first.value_grad_hess(a)
         fb, gb, hb = self.second.value_grad_hess(b)
-        return (fa + fb, np.concatenate([ga, gb]), scipy.linalg.block_diag(ha, hb))
+        return fa + fb, self._join(ga, gb), self._join(ha, hb)
+
+
+class _ProductSystem(_SumSystem):
+    """Direct sum of two Bregman systems: stacked gradients, block-diagonal
+    Hessians.  A slice of it restricts as the sum of its factors' own
+    restrictions, with no block-diagonal assembly."""
+
+    def __init__(self, first: BregmanSystem, second: BregmanSystem):
+        self.split_at = first.dim
+        super().__init__(first, second, first.dim + second.dim)
+
+    def _parts(self, x):
+        return x[:self.split_at], x[self.split_at:]
+
+    def _join(self, u, v):
+        if u.ndim == 1:
+            return np.concatenate([u, v])
+        h = np.zeros((self.dim, self.dim))
+        h[:self.split_at, :self.split_at] = u
+        h[self.split_at:, self.split_at:] = v
+        return h
+
+    def restrict(self, generators, offset):
+        gens_a, gens_b = self._parts(np.asarray(generators, dtype=float))
+        off_a, off_b = self._parts(np.asarray(offset, dtype=float))
+        return _SumSystem(self.first.restrict(gens_a, off_a),
+                          self.second.restrict(gens_b, off_b), gens_a.shape[1])
 
 
 def em_conversion(p: ReverseEmProblem, max_iter: int = 20) -> EmConversionResult:
@@ -461,15 +490,13 @@ def em_conversion(p: ReverseEmProblem, max_iter: int = 20) -> EmConversionResult
         return EmConversionResult(False, None, None, None, np.inf, it,
                                   "iterates diverged: families do not intersect")
     status = "converged" if run.converged else "max_iter"
-    theta_c, residual = _polish_intersection(p, run.theta_E[k:])
+    theta_c, residual, jac = _polish_intersection(p, run.theta_E[k:])
     if not residual <= 1e-8:
         return EmConversionResult(False, None, None, None, np.inf, it,
                                   f"intersection polish failed ({status})")
     # A genuine (transversal) intersection has a regular defining Jacobian;
     # a supremum approached at infinity leaves a numerically singular one
     # along the drift direction even when the residual is tiny.
-    jac = (p.dual_matrix.T @ p.M_system.hessian(p.dual_matrix @ theta_c) @ p.dual_matrix
-           - p.E_system.hessian(theta_c))
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals[-1] <= 1e-8 * svals[0]:
         return EmConversionResult(False, None, None, None, np.inf, it,
@@ -480,20 +507,19 @@ def em_conversion(p: ReverseEmProblem, max_iter: int = 20) -> EmConversionResult
     return EmConversionResult(True, float(capacity), theta_a, theta_c, residual, it)
 
 
-def _polish_intersection(p: ReverseEmProblem, theta_c: Array) -> Tuple[Array, float]:
+def _polish_intersection(p: ReverseEmProblem, theta_c: Array) -> Tuple[Array, float, Array]:
     """Damped Newton on the intersection equation
     dual_matrix^T grad F_M(dual_matrix theta_c) = grad F_E(theta_c), for at
-    most 60 steps or until the residual norm is 1e-12; returns the point and
-    its residual norm, which is infinite when a step fails."""
+    most 60 steps or until the residual norm is 1e-12; returns the point,
+    its residual norm, which is infinite when a step fails, and the
+    equation's Jacobian there."""
     x = np.asarray(theta_c, dtype=float).copy()
 
     def res_jac(z):
-        gm = p.M_system.gradient(p.dual_matrix @ z)
-        ge = p.E_system.gradient(z)
-        r = p.dual_matrix.T @ gm - ge
-        jm = p.M_system.hessian(p.dual_matrix @ z)
-        je = p.E_system.hessian(z)
-        return r, p.dual_matrix.T @ jm @ p.dual_matrix - je
+        _, gm, jm = p.M_system.value_grad_hess(p.dual_matrix @ z)
+        _, ge, je = p.E_system.value_grad_hess(z)
+        return (p.dual_matrix.T @ gm - ge,
+                p.dual_matrix.T @ jm @ p.dual_matrix - je)
 
     r, jac = res_jac(x)
     rnorm = np.linalg.norm(r)
@@ -503,7 +529,7 @@ def _polish_intersection(p: ReverseEmProblem, theta_c: Array) -> Tuple[Array, fl
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
-            return x, math.inf
+            return x, math.inf, jac
         t = 1.0
         while t > 1e-12:
             x_new = x + t * step
@@ -520,8 +546,8 @@ def _polish_intersection(p: ReverseEmProblem, theta_c: Array) -> Tuple[Array, fl
                 break
             t *= 0.5
         else:
-            return x, math.inf
-    return x, float(rnorm)
+            return x, math.inf, jac
+    return x, float(rnorm), jac
 
 
 def compute_dual_offset(p: ReverseEmProblem, n_checks: int = 3,

@@ -208,6 +208,74 @@ def test_em_conversion_reports_boundary_case():
     assert conv.capacity is None
 
 
+def _random_cq(rng, n_in, dim):
+    """Full-rank states mixed with 1e-6 of the maximally mixed state."""
+    a = rng.normal(size=(n_in, dim, dim)) + 1j * rng.normal(size=(n_in, dim, dim))
+    states = a @ a.conj().transpose(0, 2, 1)
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    return cq.CQChannel((1.0 - 1e-6) * states + 1e-6 * np.eye(dim) / dim)
+
+
+@pytest.mark.parametrize("kind", ["classical", "cq"])
+def test_product_restriction_matches_dense(kind, rng):
+    # em_conversion's product system restricts a slice as the sum of its
+    # factors' restrictions; compare with the direct sum assembled densely.
+    if kind == "classical":
+        p = build_problem(random_channel(rng, 3, 4)).rem
+    else:
+        p = cq.build_problem(_random_cq(rng, 2, 2)).rem
+    k, l = p.k, p.l
+    prod = rem._ProductSystem(p.M_system, p.E_system)
+    e_dirs = np.vstack([p.dual_matrix, -np.eye(l)])
+    m_gens = np.vstack([p.dual_matrix, np.eye(l)])
+    for gens, offset in ((e_dirs, 0.5 * rng.normal(size=k + l)),
+                         (m_gens, np.zeros(k + l))):
+        sub = prod.restrict(gens, offset)
+        for _ in range(5):
+            c = 0.5 * rng.normal(size=l)
+            x = offset + gens @ c
+            fm, gm, hm = p.M_system.value_grad_hess(x[:k])
+            fe, ge, he = p.E_system.value_grad_hess(x[k:])
+            hess = np.zeros((k + l, k + l))
+            hess[:k, :k] = hm
+            hess[k:, k:] = he
+            f, g, h = prod.value_grad_hess(x)
+            assert f == fm + fe and np.array_equal(g, np.concatenate([gm, ge]))
+            assert np.array_equal(h, hess)
+            grad = gens.T @ np.concatenate([gm, ge])
+            f, g, h = sub.value_grad_hess(c)
+            assert abs(f - (fm + fe)) <= 1e-12
+            assert np.max(np.abs(g - grad)) <= 1e-12
+            assert np.max(np.abs(h - gens.T @ hess @ gens)) <= 1e-12
+            f, g = sub.value_grad(c)
+            assert abs(f - (fm + fe)) <= 1e-12
+            assert np.max(np.abs(g - grad)) <= 1e-12
+
+
+def test_em_conversion_on_cq_factors():
+    rng = np.random.default_rng(3)
+    for dim in (2, 2, 3, 3):
+        channel = _random_cq(rng, 2, dim)
+        conv = rem.em_conversion(cq.build_problem(channel).rem)
+        assert conv.intersection_found
+        assert abs(conv.capacity - cq.capacity_cq_noniterative(channel).capacity) <= 1e-8
+
+
+def test_em_conversion_on_wiretap_factors():
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        bob = rng.dirichlet(np.ones(3), size=2).T
+        bob = (bob + 0.05) / 1.15
+        t_map = rng.dirichlet(np.ones(2), size=3).T
+        t_map = (t_map + 0.05) / 1.10
+        channel = wiretap.WiretapChannel(np.einsum("zy,yx->xzy", t_map, bob))
+        geo = wiretap.build_problem(channel)
+        conv = rem.em_conversion(geo.rem)
+        assert conv.intersection_found
+        value = wiretap.secrecy_objective(channel, geo.decode_input(conv.theta_a))
+        assert abs(value - wiretap.secrecy_oracle(channel, 400)) <= 1e-8
+
+
 def test_non_iterative_paths(rng):
     channel = chan1(0.1)
     prob = build_problem(channel)

@@ -141,21 +141,23 @@ class QuantumSystem(BregmanSystem):
     def _hess(self, theta):
         return self.value_grad_hess(theta)[2]
 
+    def _contract(self, evecs, w):
+        """Gradient Tr(rho X_j) at rho = evecs diag(w) evecs^H."""
+        rho = (evecs * w) @ evecs.conj().T
+        return np.tensordot(self.observables, rho, axes=([1, 2], [1, 0])).real
+
     def value_grad(self, theta):
         evals, evecs = self._eig(np.asarray(theta, dtype=float))
         f, w = _logsumexp(evals)
-        rho = (evecs * w) @ evecs.conj().T
-        g = np.tensordot(self.observables, rho, axes=([1, 2], [1, 0])).real
-        return f, g
+        return f, self._contract(evecs, w)
 
     def value_grad_hess(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        evals, evecs = self._eig(theta)
+        evals, evecs = self._eig(np.asarray(theta, dtype=float))
         f, w = _logsumexp(evals)
+        g = self._contract(evecs, w)
 
         k = np.matmul(np.matmul(evecs.conj().T[None, :, :], self.observables),
                       evecs)
-        g = (np.diagonal(k, axis1=1, axis2=2).real @ w)
 
         # Divided differences of exp at the eigenvalues, normalized by Tr e^A
         # (Daleckii-Krein form of the Kubo-Mori metric).

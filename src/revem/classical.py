@@ -1,7 +1,6 @@
-"""Classical channel capacity: dual functions, the reverse-em geometry, the
-iterative and em outcome assembly shared by every channel kind, the
-non-iterative algorithm with its negative-support subset recursion, and the
-Blahut-Arimoto oracle.
+"""Classical channel capacity: the product split, the reverse-em geometry,
+the iterative, em and non-iterative outcome assembly shared by every channel
+kind, the negative-support subset recursion, and the Blahut-Arimoto oracle.
 """
 from __future__ import annotations
 
@@ -9,13 +8,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .bregman import classical_system
-from .errors import (DegenerateChannelError, InfeasibleSystemError,
-                     InvalidChannelError)
-from .reverse_em import (CapacityGeometry, build_geometry, em_conversion,
-                         minimize_split_potential, solve_reverse_em)
+from .errors import DegenerateChannelError, InvalidChannelError
+from .numerics import kernel_basis
+from .reverse_em import (CapacityGeometry, Split, build_geometry, em_conversion,
+                         solve_reverse_em, split_maximizer)
 
 Array = np.ndarray
 
@@ -135,74 +133,17 @@ def blahut_arimoto(channel: Channel, tol: float = 1e-10,
                            residual=gap, converged=gap < tol)
 
 
-def _difference_duals(reference: Array) -> Array:
-    """Adjacent-difference dual functions orthogonal to the reference column.
+def split(matrix: Array) -> Split:
+    """Product split of the geometry of the channel with columns ``matrix``.
 
-    Columns are normalized so the construction stays well conditioned for
-    nearly deterministic reference distributions.
+    The features of F_b are the orthonormal complement of the last column,
+    so they are independent and span no constant (a constant c has inner
+    product c with the last column).
     """
-    reference = np.asarray(reference, dtype=float)
-    n2 = reference.size
-    f = np.zeros((n2, n2 - 1))
-    for j in range(n2 - 1):
-        f[j, j] = reference[j + 1]
-        f[j + 1, j] = -reference[j]
-        norm = np.linalg.norm(f[:, j])
-        if norm == 0.0:
-            raise DegenerateChannelError(
-                "difference dual construction degenerates (zero reference entries)")
-        f[:, j] /= norm
-    if np.any(reference <= 0) and np.linalg.matrix_rank(f, tol=1e-10) != n2 - 1:
-        raise DegenerateChannelError(
-            "difference dual construction degenerates (zero reference entries)")
-    return f
-
-
-def find_dual_functions(channel: Channel) -> Array:
-    """Dual output functions f_1..f_{n2-1} with the delta/zero moment pattern.
-
-    After an output reordering, sum_y f_j(y) W_i(y) equals delta_{i,j} for
-    i < n1 and vanishes for i = n1 (for every j).  Falls back to the generic
-    difference construction (orthogonal to W_{n1} only) when no reordering
-    yields the required invertible minor.
-    """
-    mat = channel.matrix
-    n2, n1 = mat.shape
-    rows = mat.T  # (n1, n2)
-    if n1 > n2:
-        raise DegenerateChannelError("dual construction requires n1 <= n2")
-
-    _, _, piv = scipy.linalg.qr(rows, pivoting=True)
-    chosen = list(piv[:n1])
-    block = rows[:, chosen]
-    if (np.linalg.matrix_rank(block, tol=1e-10) < n1
-            or np.max(rows[-1, chosen]) <= 0):
-        return _difference_duals(mat[:, -1])
-    # Put a strictly positive W_{n1} entry in the reference slot.
-    ref_local = int(np.argmax(rows[-1, chosen]))
-    chosen[ref_local], chosen[-1] = chosen[-1], chosen[ref_local]
-    perm = chosen
-    a_mat = rows[:, perm]  # (n1, n1), invertible with a positive corner
-
-    f = np.zeros((n2, n2 - 1))
-    w_ref = a_mat[-1]
-    m_til = a_mat[:-1, :-1] - np.outer(a_mat[:-1, -1], w_ref[:-1]) / w_ref[-1]
-    try:
-        # rows c_j satisfy sum_y c_{j,y} m_til_{i,y} = delta_{ij}
-        c = np.linalg.inv(m_til).T
-    except np.linalg.LinAlgError:
-        return _difference_duals(mat[:, -1])
-    for j in range(n1 - 1):
-        f[perm[:-1], j] = c[j]
-        f[perm[-1], j] = -float(c[j] @ w_ref[:-1]) / w_ref[-1]
-
-    rest = [y for y in range(n2) if y not in perm]
-    for offset, y0 in enumerate(rest):
-        j = n1 - 1 + offset
-        coeff = np.linalg.solve(a_mat, -rows[:, y0])
-        f[perm, j] = coeff
-        f[y0, j] = 1.0
-    return f
+    f = kernel_basis(matrix[:, -1][None, :])  # (n2, n2 - 1)
+    entropies = np.array([entropy(col) for col in matrix.T])
+    return Split(classical_system(f), matrix[:, :-1].T @ f,
+                 entropies[-1] - entropies[:-1], entropies[-1])
 
 
 def build_problem(channel: Channel) -> CapacityGeometry:
@@ -218,8 +159,9 @@ def build_problem(channel: Channel) -> CapacityGeometry:
         raise InvalidChannelError("geometry needs at least two inputs and outputs")
     reg = (1.0 - GEOMETRY_REGULARIZATION) * mat + GEOMETRY_REGULARIZATION / n2
 
-    f = _difference_duals(reg[:, -1])
-    h = reg.T @ f  # (n1, n2 - 1)
+    sp = split(reg)
+    f = sp.sys_b.features
+    h = sp.moments  # (n1 - 1, n2 - 1)
     k = n1 - 1
     d = n1 * n2 - 1
     l = n1 + n2 - 2
@@ -237,10 +179,8 @@ def build_problem(channel: Channel) -> CapacityGeometry:
         gens[sl, k:] = f
 
     joint_uniform = (reg / n1).T.reshape(-1)
-    entropies = np.array([entropy(reg[:, x]) for x in range(n1)])
     return build_geometry(
-        classical_system(feats), feats, gens, k, feats.T @ joint_uniform,
-        (classical_system(f), entropies))
+        classical_system(feats), feats, gens, k, feats.T @ joint_uniform, sp)
 
 
 def iterative_outcome(geo: CapacityGeometry, objective: Callable[[Array], float],
@@ -295,26 +235,17 @@ def restrict_inputs(n_inputs: int, input_subset: Optional[Sequence[int]]
     return subset, CapacityOutcome(0.0, np.eye(n_inputs)[subset[0]], (), "noniterative")
 
 
-def special_outcome(subset: Tuple[int, ...], n_inputs: int, columns: Array,
-                    target: Array, value: float) -> CapacityOutcome:
-    """Outcome of a non-iterative candidate ``value`` on an input subset.
-
-    The input weights w solve columns @ w = target with sum(w) = 1 by least
-    squares, where column i is the output of input subset[i]; weights below
-    -NEG_TOL are reported in ``negative_support``.
-    """
-    lhs = np.vstack([columns, np.ones(len(subset))])
-    rhs = np.concatenate([target, [1.0]])
-    weights, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    solve_residual = float(np.linalg.norm(lhs @ weights - rhs))
-    if solve_residual > 1e-8:
-        raise DegenerateChannelError(
-            f"output outside the span of the channel outputs (residual {solve_residual:.3e})")
-    negatives = tuple(subset[i] for i in range(len(subset)) if weights[i] < -NEG_TOL)
+def noniterative_outcome(sp: Split, subset: Tuple[int, ...],
+                         n_inputs: int) -> CapacityOutcome:
+    """``split_maximizer`` of the sub-channel on ``subset`` as an outcome
+    over all ``n_inputs`` inputs; weights below -NEG_TOL are reported in
+    ``negative_support``."""
+    sol = split_maximizer(sp)
+    negatives = tuple(x for x, w in zip(subset, sol.weights) if w < -NEG_TOL)
     full_dist = np.zeros(n_inputs)
-    full_dist[list(subset)] = weights
-    return CapacityOutcome(float(value), full_dist, negatives, "noniterative",
-                           residual=solve_residual)
+    full_dist[list(subset)] = sol.weights
+    return CapacityOutcome(float(sol.value), full_dist, negatives, "noniterative",
+                           residual=sol.residual)
 
 
 def oracle_outcome(value: float, n_inputs: int) -> CapacityOutcome:
@@ -324,30 +255,20 @@ def oracle_outcome(value: float, n_inputs: int) -> CapacityOutcome:
 
 def capacity_special(channel: Channel,
                      input_subset: Optional[Sequence[int]] = None) -> CapacityOutcome:
-    """Non-iterative candidate capacity on a restricted input set.
+    """Non-iterative candidate capacity on a restricted input set: the
+    split maximizer of the sub-channel.
 
     Returns the candidate value together with the solved input weights; any
     weights below -NEG_TOL are reported in ``negative_support`` and signal a
     boundary optimum (the candidate value then only bounds the capacity).
+    Linearly dependent restricted columns, or more of them than outputs,
+    raise DegenerateChannelError.
     """
-    mat = channel.matrix
-    n1 = channel.n_inputs
-    subset, single = restrict_inputs(n1, input_subset)
+    subset, single = restrict_inputs(channel.n_inputs, input_subset)
     if single is not None:
         return single
-
-    cols = mat[:, subset]
-    f = find_dual_functions(Channel(cols))
-    moments = cols.T @ f  # (m, n2-1)
-    theta_a_dag = np.array([-entropy(cols[:, i]) + entropy(cols[:, -1])
-                            for i in range(len(subset) - 1)])
-    sys_eb = classical_system(f)
-    try:
-        theta_b = minimize_split_potential(sys_eb, moments[:-1], theta_a_dag)
-    except InfeasibleSystemError as exc:
-        raise DegenerateChannelError(f"moment system unsolvable: {exc}") from exc
-    value = -entropy(cols[:, -1]) + sys_eb.potential(theta_b)
-    return special_outcome(subset, n1, cols, sys_eb.distribution(theta_b), value)
+    return noniterative_outcome(split(channel.matrix[:, subset]), subset,
+                                channel.n_inputs)
 
 
 def subset_recursion(n_inputs: int,

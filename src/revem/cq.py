@@ -11,12 +11,11 @@ import numpy as np
 
 from .bregman import quantum_system
 from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome,
-                        iterative_outcome, restrict_inputs, special_outcome,
-                        subset_recursion)
-from .errors import DegenerateChannelError, DomainError, InvalidChannelError
+                        iterative_outcome, noniterative_outcome,
+                        restrict_inputs, subset_recursion)
+from .errors import DomainError, InvalidChannelError
 from .numerics import maximize_on_unit_interval
-from .reverse_em import (CapacityGeometry, build_geometry,
-                         minimize_split_potential)
+from .reverse_em import CapacityGeometry, Split, build_geometry
 
 Array = np.ndarray
 
@@ -119,6 +118,15 @@ def _observable_basis(reference: Array) -> Array:
     return np.asarray([g - s * eye for g, s in zip(basis, shifts)])
 
 
+def split(states: Array) -> Split:
+    """Product split of the geometry of the cq channel with these states;
+    the observables of F_b are ``_observable_basis`` of the last state."""
+    obs = _observable_basis(states[-1])
+    entropies = np.array([von_neumann_entropy(rho) for rho in states])
+    return Split(quantum_system(obs), np.einsum("jab,iba->ij", obs, states[:-1]).real,
+                 entropies[-1] - entropies[:-1], entropies[-1])
+
+
 def _regularize(states: Array, weight: float) -> Array:
     dim = states.shape[1]
     return (1.0 - weight) * states + weight * np.eye(dim)[None, :, :] / dim
@@ -137,9 +145,10 @@ def build_problem(channel: CQChannel) -> CapacityGeometry:
         raise InvalidChannelError("need at least two inputs")
     reg = _regularize(channel.states, GEOMETRY_REGULARIZATION)
 
-    obs = _observable_basis(reg[-1])  # (n2^2-1, n2, n2)
+    sp = split(reg)
+    obs = sp.sys_b.observables  # (n2^2-1, n2, n2)
     n_obs = obs.shape[0]
-    h = np.einsum("jab,iba->ij", obs, reg).real  # (n1, n2^2-1)
+    h = sp.moments  # (n1 - 1, n2^2-1)
 
     k = n1 - 1
     d = n1 * n2 * n2 - 1
@@ -182,11 +191,9 @@ def build_problem(channel: CQChannel) -> CapacityGeometry:
     rho_uniform = np.zeros((dim_joint, dim_joint), dtype=complex)
     for i in range(n1):
         rho_uniform += embed(i, reg[i]) / n1
-    entropies = np.array([von_neumann_entropy(reg[i]) for i in range(n1)])
     return build_geometry(
         quantum_system(xis), xi_vecs, g_vecs, k,
-        np.einsum("mab,ba->m", xis, rho_uniform).real,
-        (quantum_system(obs), entropies))
+        np.einsum("mab,ba->m", xis, rho_uniform).real, sp)
 
 
 def capacity_cq_iterative(channel: CQChannel, tol: float = 1e-10,
@@ -198,36 +205,15 @@ def capacity_cq_iterative(channel: CQChannel, tol: float = 1e-10,
 
 def cq_capacity_special(channel: CQChannel,
                         input_subset: Optional[Sequence[int]] = None) -> CapacityOutcome:
-    """Non-iterative candidate value on a restricted input set.
-
-    The quantum analogue of the classical special-case algorithm: one convex
-    minimization over the kernel of the moment matrix, then a linear solve
-    for the input weights whose negative entries flag a boundary optimum.
-    """
-    n1 = channel.n_inputs
-    subset, single = restrict_inputs(n1, input_subset)
+    """Non-iterative candidate value on a restricted input set: the split
+    maximizer of the sub-channel, as in ``classical.capacity_special``.
+    Negative weights flag a boundary optimum; linearly dependent restricted
+    states raise DegenerateChannelError."""
+    subset, single = restrict_inputs(channel.n_inputs, input_subset)
     if single is not None:
         return single
-
-    states = channel.states[list(subset)]
-    m = len(subset)
-    obs = _observable_basis(states[-1])
-    h = np.einsum("jab,iba->ij", obs, states).real  # (m, n2^2-1)
-    h_mat = h[:-1]
-    if np.linalg.matrix_rank(h_mat, tol=1e-10) < m - 1:
-        raise DegenerateChannelError("restricted states are linearly dependent")
-
-    theta_a_dag = np.array([-von_neumann_entropy(states[i])
-                            + von_neumann_entropy(states[-1])
-                            for i in range(m - 1)])
-    sys_eb = quantum_system(obs)
-    theta_b = minimize_split_potential(sys_eb, h_mat, theta_a_dag)
-    sigma = sys_eb.state(theta_b)
-    columns = np.concatenate([states.real.reshape(m, -1),
-                              states.imag.reshape(m, -1)], axis=1).T
-    target = np.concatenate([sigma.real.reshape(-1), sigma.imag.reshape(-1)])
-    value = -von_neumann_entropy(states[-1]) + sys_eb.potential(theta_b)
-    return special_outcome(subset, n1, columns, target, value)
+    return noniterative_outcome(split(channel.states[list(subset)]), subset,
+                                channel.n_inputs)
 
 
 def capacity_cq_noniterative(channel: CQChannel) -> CapacityOutcome:

@@ -11,21 +11,24 @@ projection map invertible.  Three routes solve the problem:
   intersection;
 * under a product split of the exponential potential, one convex
   minimization of the second split potential over the kernel of the dual
-  moment matrix (``minimize_split_potential``).
+  moment matrix (``split_maximizer``, the paper's non-iterative formula).
 
-``build_geometry`` builds the ``CapacityGeometry`` of every capacity module.
+``build_geometry`` builds the ``CapacityGeometry`` of every capacity module;
+a ``Split`` is what that geometry and the non-iterative formula share.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bregman import BregmanSystem, classical_system, divergence, natural_param
-from .errors import (ConditionViolationError, ImageMembershipError,
-                     InvalidChannelError, ProjectionError, RevemError)
+from .bregman import BregmanSystem, ClassicalSystem, divergence, natural_param
+from .errors import (ConditionViolationError, DegenerateChannelError,
+                     ImageMembershipError, InvalidChannelError, ProjectionError,
+                     RevemError)
 from .families import (ExponentialSubfamily, MixtureSubfamily, e_projection,
                        m_projection)
 from .numerics import _spd_solve, kernel_basis, least_norm_solve, minimize_fgh
@@ -36,13 +39,37 @@ STEPPERS = ("mixture", "natural", "eps")
 
 
 @dataclass(eq=False)
+class Split:
+    """Product split F_E(theta_a, theta_b) = F_a(theta_a) + F_b(theta_b) of a
+    channel's exponential potential, with F_a the categorical potential of
+    the k input indicators.
+
+    ``moments`` is the k x dim_b matrix of <W_i, f> for inputs i < k, where
+    the features f of F_b are orthogonal to the last input W_last;
+    ``dual_offset`` is H_last - H_i, the constant between the two dual
+    coordinate maps; ``last_entropy`` is H_last.  Built from a channel by
+    ``classical.split`` or ``cq.split``.
+    """
+
+    sys_b: BregmanSystem
+    moments: Array
+    dual_offset: Array
+    last_entropy: float
+
+    @cached_property
+    def sys_a(self) -> ClassicalSystem:
+        """F_a(theta) = log(1 + sum_i exp theta_i)."""
+        k = self.moments.shape[0]
+        return ClassicalSystem(np.eye(k + 1, k))
+
+
+@dataclass(eq=False)
 class ReverseEmProblem:
     """A paired (mixture, exponential) instance.
 
     ``family_M`` must coincide with the affine slice
     {U @ (theta_a, theta_tail)} of natural-parameter space.  ``split`` is
-    the product split (F_a, F_b) of the exponential potential, given with
-    the constant ``dual_offset`` between the two dual coordinate maps.
+    the product split of the exponential potential, when it has one.
     ``leading_identity_block`` records whether the leading k x k block of
     the dual matrix is the identity (within 1e-12), which the natural step
     and the non-iterative method need.
@@ -52,8 +79,7 @@ class ReverseEmProblem:
     family_E: ExponentialSubfamily
     family_M: MixtureSubfamily
     theta_tail: Array
-    split: Optional[Tuple[BregmanSystem, BregmanSystem]] = None
-    dual_offset: Optional[Array] = None
+    split: Optional[Split] = None
 
     dual_matrix: Array = field(init=False)
     leading_identity_block: bool = field(init=False)
@@ -156,6 +182,21 @@ class EmConversionResult:
     residual: float
     iterations: int
     message: str = ""
+
+
+@dataclass
+class SplitMaximizer:
+    """The non-iterative formula on a split: ``theta_b_bar`` minimizes F_b
+    over {moments @ theta_b = dual_offset}, ``weights`` = (eta_a,
+    1 - sum eta_a) are the input weights it decodes to (a negative weight
+    flags a boundary optimum), ``value`` = F_b(theta_b_bar) - H_last is the
+    candidate capacity, and ``residual`` is the norm of
+    moments^T eta_a - grad F_b(theta_b_bar)."""
+
+    theta_b_bar: Array
+    weights: Array
+    value: float
+    residual: float
 
 
 @dataclass
@@ -317,7 +358,7 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
         tb0 = np.zeros(p.l - p.k)
 
     if p.split is not None:
-        sys_a, sys_b = p.split
+        sys_a, sys_b = p.split.sys_a, p.split.sys_b
 
         def fgh(tb):
             fa, ga, ha = sys_a.value_grad_hess(theta_a - tail @ tb)
@@ -550,33 +591,6 @@ def _polish_intersection(p: ReverseEmProblem, theta_c: Array) -> Tuple[Array, fl
     return x, float(rnorm), jac
 
 
-def compute_dual_offset(p: ReverseEmProblem, n_checks: int = 3,
-                         rng: Optional[np.random.Generator] = None,
-                         check_tol: float = 1e-8) -> Array:
-    """Offset between the two dual coordinate maps, measured numerically.
-
-    Evaluated at ``n_checks`` mixture parameters; inconsistency raises
-    ConditionViolationError.  The reference for the closed-form offset that
-    ``build_geometry`` derives from the input entropies.
-    """
-    if p.split is None:
-        raise ConditionViolationError("the dual offset needs the split potentials")
-    rng = np.random.default_rng(0) if rng is None else rng
-    sys_a = p.split[0]
-    values = []
-    for _ in range(max(n_checks, 1)):
-        theta_probe = rng.normal(scale=0.3, size=p.k)
-        eta = p.M_system.gradient(theta_probe)
-        theta_ea = natural_param(sys_a, eta)
-        values.append(theta_probe - theta_ea)
-    values = np.asarray(values)
-    spread = float(np.max(np.abs(values - values[0]))) if len(values) > 1 else 0.0
-    if spread > check_tol:
-        raise ConditionViolationError(
-            f"dual offset is not constant (spread {spread:.3e})")
-    return values[0]
-
-
 def minimize_split_potential(sys_b: BregmanSystem, mat: Array, rhs: Array) -> Array:
     """Minimizer of the split potential F_b over {theta_b : mat @ theta_b = rhs}.
 
@@ -599,47 +613,59 @@ def minimize_split_potential(sys_b: BregmanSystem, mat: Array, rhs: Array) -> Ar
     return theta_b0 + kernel @ res.point
 
 
+def split_maximizer(split: Split) -> SplitMaximizer:
+    """The paper's non-iterative formula, for every channel kind.
+
+    Minimizes F_b over {moments @ theta_b = dual_offset}, solves
+    moments^T eta_a = grad F_b(theta_b_bar) for the input weights and takes
+    F_b(theta_b_bar) - H_last as the candidate value.  Raises
+    DegenerateChannelError when ``moments`` is row-rank deficient: the
+    inputs are linearly dependent, or outnumber the output dimensions.
+    """
+    if np.linalg.matrix_rank(split.moments, tol=1e-10) < split.moments.shape[0]:
+        raise DegenerateChannelError(
+            "moment matrix is row-rank deficient (dependent inputs, or more "
+            "inputs than output dimensions)")
+    theta_b = minimize_split_potential(split.sys_b, split.moments, split.dual_offset)
+    g_b = split.sys_b.gradient(theta_b)
+    eta_a = least_norm_solve(split.moments.T, g_b)
+    return SplitMaximizer(theta_b, np.append(eta_a, 1.0 - eta_a.sum()),
+                          split.sys_b.potential(theta_b) - split.last_entropy,
+                          float(np.linalg.norm(split.moments.T @ eta_a - g_b)))
+
+
 def non_iterative(p: ReverseEmProblem) -> NonIterativeResult:
     """Locate the maximizer by one convex minimization in the split potential.
 
-    Requires the identity leading block, the split potentials with their
-    dual offset, and a trailing dual block of full row rank.  When the
-    resulting dual coordinate lies outside the image of the gradient map of
-    the first split potential, the supremum is not attained in the interior
-    and a nonexistence report is returned instead of a maximizer.
+    Requires the identity leading block and the split; a row-rank-deficient
+    moment matrix raises DegenerateChannelError.  When the input weights of
+    ``split_maximizer`` leave the open simplex, the image of the categorical
+    gradient map, the supremum is not attained in the interior and a
+    nonexistence report is returned instead of a maximizer.  Inside it, the
+    categorical inverse is theta_a_bar = log(eta_a / eta_last).
     """
-    if not p.leading_identity_block or p.split is None or p.dual_offset is None:
+    if not p.leading_identity_block or p.split is None:
         raise ConditionViolationError(
             "non-iterative method needs the identity leading block and the "
-            "split potentials with their dual offset")
-    sys_a, sys_b = p.split
-    tail = p.dual_tail
-    if np.linalg.matrix_rank(tail, tol=1e-10) < p.k:
-        raise ConditionViolationError(
-            "the trailing dual block is row-rank deficient")
-
-    theta_b_bar = minimize_split_potential(sys_b, tail, p.dual_offset)
-    eta_b = sys_b.gradient(theta_b_bar)
-    eta_a = least_norm_solve(tail.T, eta_b)
-    try:
-        theta_a_bar = natural_param(sys_a, eta_a)
-    except ImageMembershipError as exc:
+            "split potentials")
+    sol = split_maximizer(p.split)
+    eta_a = sol.weights[:-1]
+    if not np.all(sol.weights > 0):
         return NonIterativeResult(
             exists=False, capacity=None, theta_a=None, eta_a=eta_a,
-            theta_c=None, theta_b_bar=theta_b_bar,
-            message=f"maximum not attained in the interior: {exc}")
-
-    theta_a_max = theta_a_bar + p.dual_offset
-    theta_c = np.concatenate([theta_a_bar, theta_b_bar])
-    capacity = divergence(p.sys, p.m_ambient(theta_a_max), p.e_ambient(theta_c))
+            theta_c=None, theta_b_bar=sol.theta_b_bar,
+            message="maximum not attained in the interior: input weights "
+                    f"{sol.weights} leave the open simplex")
+    theta_a_bar = np.log(eta_a / sol.weights[-1])
     return NonIterativeResult(
-        exists=True, capacity=float(capacity), theta_a=theta_a_max,
-        eta_a=eta_a, theta_c=theta_c, theta_b_bar=theta_b_bar)
+        exists=True, capacity=float(sol.value),
+        theta_a=theta_a_bar + p.split.dual_offset, eta_a=eta_a,
+        theta_c=np.concatenate([theta_a_bar, sol.theta_b_bar]),
+        theta_b_bar=sol.theta_b_bar)
 
 
 def build_geometry(sys: BregmanSystem, feature_vecs: Array, generator_vecs: Array,
-                   k: int, eta_uniform: Array,
-                   split_b: Optional[Tuple[BregmanSystem, Array]]
+                   k: int, eta_uniform: Array, split: Optional[Split]
                    ) -> CapacityGeometry:
     """The capacity geometry of a channel with k + 1 inputs.
 
@@ -647,10 +673,9 @@ def build_geometry(sys: BregmanSystem, feature_vecs: Array, generator_vecs: Arra
     are fitted in the feature basis (columns of ``feature_vecs``) by least
     squares; the mixture family fixes the trailing natural parameters at the
     uniform-input point, the gradient-map preimage of ``eta_uniform``.
-    ``split_b`` is None or a pair (F_b, per-input entropies): the exponential
-    potential then splits into input indicators and F_b, and the dual
-    offset is the entropy difference to the last input.  The first k
-    features must be the indicators of inputs 1..k (see ``CapacityGeometry``).
+    ``split`` is the product split of the exponential potential, or None
+    when it has none.  The first k features must be the indicators of
+    inputs 1..k (see ``CapacityGeometry``).
     """
     v_mat, *_ = np.linalg.lstsq(feature_vecs, generator_vecs, rcond=None)
     if np.max(np.abs(feature_vecs @ v_mat - generator_vecs)) > 1e-9:
@@ -659,12 +684,6 @@ def build_geometry(sys: BregmanSystem, feature_vecs: Array, generator_vecs: Arra
     family_e = ExponentialSubfamily(v_mat, np.zeros(d))
     family_m = MixtureSubfamily(np.eye(d), k, np.zeros(d - k))
     theta_uniform = natural_param(sys, eta_uniform, grad_tol=1e-12)
-    split = dual_offset = None
-    if split_b is not None:
-        sys_b, entropies = split_b
-        split = (classical_system(np.eye(k + 1, k)), sys_b)
-        dual_offset = -entropies[:k] + entropies[-1]
     rem = ReverseEmProblem(sys=sys, family_E=family_e, family_M=family_m,
-                           theta_tail=theta_uniform[k:], split=split,
-                           dual_offset=dual_offset)
+                           theta_tail=theta_uniform[k:], split=split)
     return CapacityGeometry(rem, theta_uniform[:k])

@@ -14,11 +14,10 @@ import numpy as np
 import scipy.optimize
 
 from .bregman import classical_system
-from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome,
-                        _difference_duals, entropy, iterative_outcome,
-                        mutual_information)
+from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome, entropy,
+                        iterative_outcome, mutual_information)
 from .errors import InvalidChannelError, NotDegradedError
-from .numerics import maximize_on_unit_interval
+from .numerics import kernel_basis, maximize_on_unit_interval
 from .reverse_em import CapacityGeometry, build_geometry
 
 Array = np.ndarray
@@ -137,7 +136,8 @@ def build_problem(channel: WiretapChannel) -> CapacityGeometry:
     w_z = reg.sum(axis=2)  # (n1, n2)
     cond = reg / w_z[:, :, None]  # P(y | x, z)
 
-    duals = [_difference_duals(cond[-1, z]) for z in range(n2)]  # each (n3, n3-1)
+    # Orthonormal complements of the last input's receiver conditionals.
+    duals = [kernel_basis(cond[-1, z][None, :]) for z in range(n2)]  # each (n3, n3-1)
     h_cond = np.array([[duals[z].T @ cond[i, z] for z in range(n2)]
                        for i in range(n1)])   # (n1, n2, n3-1)
     h_joint = np.array([[duals[z].T @ reg[i, z] for z in range(n2)]

@@ -171,6 +171,17 @@ def test_quantum_gradient_hessian_consistency(rng):
         assert np.max(np.abs(fd_row - hess[j])) < 1e-5
 
 
+def test_quantum_gradient_is_one_formula(rng):
+    # value_grad and value_grad_hess contract the observables with the same
+    # rho, so their gradients agree bit for bit.
+    for dim in (2, 3):
+        sys = quantum_system(_random_hermitians(rng, dim, dim * dim - 1))
+        for _ in range(5):
+            theta = rng.normal(size=sys.dim)
+            assert np.array_equal(sys.value_grad(theta)[1],
+                                  sys.value_grad_hess(theta)[1])
+
+
 def test_divergence_nonnegative(rng):
     for _ in range(100):
         n = int(rng.integers(2, 6))

@@ -6,10 +6,9 @@ from revem import reverse_em as rem
 from revem.bregman import natural_param
 from revem.classical import (Channel, blahut_arimoto, build_problem,
                              capacity_general, capacity_iterative,
-                             capacity_special, entropy, find_dual_functions,
-                             kl_divergence, mutual_information,
-                             subset_recursion)
-from revem.errors import InvalidChannelError
+                             capacity_special, entropy, kl_divergence,
+                             mutual_information, split, subset_recursion)
+from revem.errors import DegenerateChannelError, InvalidChannelError
 
 
 def bsc(p):
@@ -48,19 +47,19 @@ def test_blahut_arimoto_analytic_anchors():
 
 
 def test_dual_functions_patterns(rng):
-    f = find_dual_functions(Channel(np.eye(2)))
-    assert np.allclose(f[:, 0], [1.0, 0.0])
-
-    for channel in [chan1(0.1), random_channel(rng, 3, 5), random_channel(rng, 4, 4)]:
-        f = find_dual_functions(channel)
-        h = channel.matrix.T @ f
-        n1 = channel.n_inputs
+    # The one dual construction: the orthonormal complement of W_last, which
+    # also handles zero entries of W_last (eye(4)).
+    for channel in [Channel(np.eye(2)), Channel(np.eye(4)), chan1(0.1),
+                    random_channel(rng, 3, 5), random_channel(rng, 4, 4)]:
+        mat = channel.matrix
+        sp = split(mat)
+        f = sp.sys_b.features
         n2 = channel.n_outputs
-        assert np.max(np.abs(h[:n1 - 1, :n1 - 1] - np.eye(n1 - 1))) < 1e-10
-        if n2 > n1:
-            assert np.max(np.abs(h[:n1 - 1, n1 - 1:])) < 1e-10
-        assert np.max(np.abs(h[n1 - 1])) < 1e-12
-        # f's span no constants and are independent
+        assert f.shape == (n2, n2 - 1)
+        assert np.max(np.abs(f.T @ f - np.eye(n2 - 1))) < 1e-12
+        assert np.max(np.abs(mat[:, -1] @ f)) < 1e-12
+        assert np.max(np.abs(sp.moments - mat[:, :-1].T @ f)) < 1e-10
+        # f's span has no constants
         aug = np.hstack([f, np.ones((n2, 1))])
         assert np.linalg.matrix_rank(aug, tol=1e-8) == n2
 
@@ -80,7 +79,7 @@ def test_build_problem_structure(rng):
     uniform = p.sys.distribution(p.e_ambient(np.zeros(p.l)))
     assert np.max(np.abs(uniform - 1.0 / 16)) < 1e-14
     # uniform-input coordinate coincides with the entropy-difference offsets
-    assert np.max(np.abs(prob.theta_a_uniform - p.dual_offset)) < 1e-8
+    assert np.max(np.abs(prob.theta_a_uniform - p.split.dual_offset)) < 1e-8
     assert np.max(np.abs(prob.decode_input(prob.theta_a_uniform) - 0.25)) < 1e-10
     # round trip q -> coordinate -> q
     q = np.array([0.4, 0.3, 0.2, 0.1])
@@ -125,6 +124,15 @@ def test_chan1_negative_support_transition():
         assert abs(out.capacity - ba.capacity) < 1e-6
     out = capacity_special(chan1(0.76))
     assert out.negative_support == (0, 1)
+
+
+def test_capacity_special_typed_errors(rng):
+    base = random_channel(rng, 2, 4).matrix
+    dependent = np.hstack([base, base.mean(axis=1, keepdims=True)])
+    with pytest.raises(DegenerateChannelError):
+        capacity_special(Channel(dependent))
+    with pytest.raises(InvalidChannelError):
+        capacity_special(random_channel(rng, 4, 2))
 
 
 def test_capacity_general_matches_ba(rng):

@@ -7,7 +7,7 @@ from revem.cq import (CQChannel, _observable_basis, _regularize, build_problem,
                       capacity_cq_iterative, capacity_cq_noniterative,
                       cq_capacity_special, gell_mann_basis, holevo,
                       holevo_oracle, von_neumann_entropy)
-from revem.errors import InvalidChannelError
+from revem.errors import DegenerateChannelError, InvalidChannelError
 
 
 def random_density(rng, dim):
@@ -156,6 +156,14 @@ def test_square_case_no_inner_minimization(rng):
         p = rng.dirichlet(np.ones(4))
         best = max(best, holevo(p, ch))
     assert ni.capacity >= best - 1e-4
+
+
+def test_dependent_states_raise_degenerate(rng):
+    # The mixture of two states is linearly dependent on them.
+    states = np.array([random_density(rng, 2), random_density(rng, 2)])
+    ch = CQChannel(np.vstack([states, states.mean(axis=0, keepdims=True)]))
+    with pytest.raises(DegenerateChannelError):
+        cq_capacity_special(ch)
 
 
 def test_orthogonal_pure_states_log_n(rng):

@@ -5,10 +5,9 @@ from conftest import chan1, random_channel, random_features
 from revem import reverse_em as rem
 from revem import cq, wiretap
 from revem.bregman import classical_system, divergence, natural_param
-from revem.classical import (Channel, _difference_duals, blahut_arimoto,
-                             build_problem, capacity_special,
-                             mutual_information)
-from revem.errors import ConditionViolationError
+from revem.classical import (NEG_TOL, Channel, blahut_arimoto, build_problem,
+                             capacity_special, mutual_information, split)
+from revem.errors import ConditionViolationError, ImageMembershipError
 from revem.families import (ExponentialSubfamily, MixtureSubfamily,
                             e_projection, m_projection)
 
@@ -21,9 +20,9 @@ def test_v1_block_structure(rng):
     mat = chan1(0.1).matrix
     prob = build_problem(Channel(mat))
     k = prob.rem.k
-    moments = mat.T @ _difference_duals(mat[:, -1])
+    moments = split(mat).moments
     assert np.max(np.abs(prob.rem.dual_matrix[:, :k] - np.eye(k))) < 1e-12
-    assert np.max(np.abs(prob.rem.dual_matrix[:, k:] - moments[:k])) < 1e-9
+    assert np.max(np.abs(prob.rem.dual_matrix[:, k:] - moments)) < 1e-9
 
 
 def test_bsc_uniform_is_fixed_point():
@@ -302,24 +301,51 @@ def test_non_iterative_paths(rng):
 
 def test_non_iterative_routes_agree(rng):
     # The engine's non_iterative on the regularized geometry and the
-    # channel-level capacity_special share one kernel-restricted minimization.
-    agreed = 0
-    for _ in range(30):
+    # channel-level capacity_special run one formula on their splits: the
+    # same negative supports, and the same values wherever the maximum is
+    # interior.  The closed-form categorical inverse of non_iterative agrees
+    # with the Newton inversion natural_param, image verdict included.
+    channels = [chan1(0.76), chan1(0.8), Channel(np.eye(3))]
+    for _ in range(40):
         n_in = int(rng.integers(2, 5))
-        channel = random_channel(rng, n_in, int(rng.integers(n_in, 7)))
+        channels.append(random_channel(rng, n_in, int(rng.integers(n_in, 7))))
+    for _ in range(20):
+        n_in = int(rng.integers(3, 5))
+        cols = rng.dirichlet(np.full(n_in + 1, 0.3), size=n_in).T
+        channels.append(Channel((cols + 1e-3) / (1.0 + (n_in + 1) * 1e-3)))
+    agreed = boundary = 0
+    for channel in channels:
         res = rem.non_iterative(build_problem(channel).rem)
         special = capacity_special(channel)
-        if not res.exists or special.negative_support:
+        weights = np.append(res.eta_a, 1.0 - res.eta_a.sum())
+        assert tuple(np.flatnonzero(weights < -NEG_TOL)) == special.negative_support
+        k = res.eta_a.size
+        sys_a = classical_system(np.eye(k + 1, k))
+        if not res.exists:
+            boundary += 1
+            with pytest.raises(ImageMembershipError):
+                natural_param(sys_a, res.eta_a)
             continue
+        assert np.max(np.abs(natural_param(sys_a, res.eta_a) - res.theta_c[:k])) <= 1e-9
         assert abs(res.capacity - special.capacity) <= 1e-10
         agreed += 1
-    assert agreed >= 10
+    assert agreed >= 10 and boundary >= 5
 
 
 def test_dual_offset_constancy(rng):
+    # Reference probe: theta - (grad F_a)^{-1}(grad F_M(theta)) is the same
+    # constant for every mixture parameter theta, and it is the split's
+    # closed-form entropy difference.
     prob = build_problem(chan1(0.1))
-    computed = rem.compute_dual_offset(prob.rem, n_checks=5, rng=rng)
-    assert np.max(np.abs(computed - prob.rem.dual_offset)) < 1e-8
+    p = prob.rem
+    sys_a = classical_system(np.eye(p.k + 1, p.k))
+    values = []
+    for _ in range(5):
+        theta_probe = rng.normal(scale=0.3, size=p.k)
+        values.append(theta_probe - natural_param(sys_a, p.M_system.gradient(theta_probe)))
+    values = np.asarray(values)
+    assert np.max(np.abs(values - values[0])) <= 1e-8
+    assert np.max(np.abs(values[0] - p.split.dual_offset)) < 1e-8
 
 
 def _degraded_wiretap_problem():

@@ -57,10 +57,13 @@ def _numeric_rows(text: str) -> List[Tuple[int, List[float]]]:
         values = []
         for col, part in enumerate(parts, start=1):
             try:
-                values.append(float(part))
+                value = float(part)
             except ValueError as exc:
                 raise ChannelFormatError(
                     f"cannot parse {part!r} as a number", lineno, col) from exc
+            if not np.isfinite(value):
+                raise ChannelFormatError(f"non-finite number {part!r}", lineno, col)
+            values.append(value)
         rows.append((lineno, values))
     return rows
 

@@ -1,6 +1,8 @@
-"""Classical channel capacity: the product split, the reverse-em geometry,
-the iterative, em and non-iterative outcome assembly shared by every channel
-kind, the negative-support subset recursion, and the Blahut-Arimoto oracle.
+"""Classical channel capacity: the product split, the one X x Z x Y
+reverse-em geometry (a plain channel is its case |Z| = 1, a wiretap channel
+the general one), the iterative, em and non-iterative outcome assembly
+shared by every channel kind, the negative-support subset recursion, and the
+Blahut-Arimoto oracle.
 """
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bregman import classical_system
+from .bregman import ClassicalSystem, classical_system
 from .errors import DegenerateChannelError, InvalidChannelError
 from .numerics import kernel_basis
 from .reverse_em import (CapacityGeometry, Split, build_geometry, em_conversion,
@@ -37,6 +39,8 @@ class Channel:
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.size == 0:
             raise InvalidChannelError("channel matrix must be 2-d and nonempty")
+        if not np.all(np.isfinite(self.matrix)):
+            raise InvalidChannelError("channel matrix has non-finite entries")
         if np.any(self.matrix < -1e-12):
             raise InvalidChannelError("channel matrix has negative entries")
         sums = self.matrix.sum(axis=0)
@@ -138,49 +142,55 @@ def split(matrix: Array) -> Split:
 
     The features of F_b are the orthonormal complement of the last column,
     so they are independent and span no constant (a constant c has inner
-    product c with the last column).
+    product c with the last column), and need no ``classical_system`` check.
     """
     f = kernel_basis(matrix[:, -1][None, :])  # (n2, n2 - 1)
     entropies = np.array([entropy(col) for col in matrix.T])
-    return Split(classical_system(f), matrix[:, :-1].T @ f,
+    return Split(ClassicalSystem(f), matrix[:, :-1].T @ f,
                  entropies[-1] - entropies[:-1], entropies[-1])
 
 
-def build_problem(channel: Channel) -> CapacityGeometry:
-    """Construct the Bregman geometry whose mixture family is {W x q} and
-    whose exponential family is the product distributions on X x Y.
+def markov_geometry(tensor: Array) -> CapacityGeometry:
+    """The reverse-em geometry of the channel X -> Z x Y with
+    ``tensor[x, z, y]`` = W(z, y | x).
 
-    The geometry uses the channel regularized by GEOMETRY_REGULARIZATION;
-    capacity reports use the raw channel.
+    Its exponential family is the Markov chains P(x, z) P(y | z), and its
+    mixture family is {W x q}.  The features are, in this order, the
+    indicators of inputs 1..k; every input's eavesdropper indicators
+    z < |Z| - 1, centred at W(z | x); and each z's receiver features, those
+    of ``split`` of the z-conditional channel, centred at the input's
+    moments.  A plain channel is the case |Z| = 1, the only one whose
+    exponential potential splits (DECISIONS.md).  The geometry uses the
+    channel regularized by GEOMETRY_REGULARIZATION; capacity reports use
+    the raw channel.
     """
-    mat = channel.matrix
-    n2, n1 = mat.shape
-    if n1 < 2 or n2 < 2:
-        raise InvalidChannelError("geometry needs at least two inputs and outputs")
-    reg = (1.0 - GEOMETRY_REGULARIZATION) * mat + GEOMETRY_REGULARIZATION / n2
+    n1, n2, n3 = tensor.shape
+    if n1 < 2 or n3 < 2:
+        raise InvalidChannelError("geometry needs at least two inputs and two receiver outputs")
+    reg = (1.0 - GEOMETRY_REGULARIZATION) * tensor + GEOMETRY_REGULARIZATION / (n2 * n3)
+    w_z = reg.sum(axis=2)  # (n1, n2)
+    splits = [split((reg[:, z] / w_z[:, z, None]).T) for z in range(n2)]
+    f = np.stack([sp.sys_b.features for sp in splits])  # [z, y, j]
+    moments = np.stack([sp.moments for sp in splits], axis=1)  # [x < k, z, j]
+    centred = f[None] - np.concatenate([moments, np.zeros((1, n2, n3 - 1))])[:, :, None]
 
-    sp = split(reg)
-    f = sp.sys_b.features
-    h = sp.moments  # (n1 - 1, n2 - 1)
     k = n1 - 1
-    d = n1 * n2 - 1
-    l = n1 + n2 - 2
+    eye_x, eye_z = np.eye(n1), np.eye(n2)
+    inputs = np.einsum("xi,z,y->xzyi", eye_x[:, :k], np.ones(n2), np.ones(n3))
+    eve = np.einsum("xi,xzw,y->xzyiw", eye_x, eye_z[:, :-1] - w_z[:, None, :-1], np.ones(n3))
+    receiver = np.einsum("xi,zw,xzyj->xzyiwj", eye_x, eye_z, centred)
+    receiver_gens = np.einsum("x,zw,zyj->xzywj", np.ones(n1), eye_z, f)
+    n = n1 * n2 * n3
+    feats = np.concatenate([b.reshape(n, -1) for b in (inputs, eve, receiver)], axis=1)
+    gens = np.concatenate([b.reshape(n, -1) for b in (inputs, eve, receiver_gens)], axis=1)
+    return build_geometry(classical_system(feats), feats, gens, k,
+                          feats.T @ (reg / n1).reshape(-1), splits[0] if n2 == 1 else None)
 
-    feats = np.zeros((n1 * n2, d))
-    gens = np.zeros((n1 * n2, l))
-    for x in range(n1):
-        sl = slice(x * n2, (x + 1) * n2)
-        if x < n1 - 1:
-            feats[sl, x] = 1.0
-            feats[sl, k + x * (n2 - 1):k + (x + 1) * (n2 - 1)] = f - h[x]
-            gens[sl, x] = 1.0
-        else:
-            feats[sl, k + x * (n2 - 1):k + (x + 1) * (n2 - 1)] = f
-        gens[sl, k:] = f
 
-    joint_uniform = (reg / n1).T.reshape(-1)
-    return build_geometry(
-        classical_system(feats), feats, gens, k, feats.T @ joint_uniform, sp)
+def build_problem(channel: Channel) -> CapacityGeometry:
+    """The geometry of a plain channel: a channel whose eavesdropper sees
+    one letter (``markov_geometry`` with |Z| = 1)."""
+    return markov_geometry(channel.matrix.T[:, None, :])
 
 
 def iterative_outcome(geo: CapacityGeometry, objective: Callable[[Array], float],

@@ -123,6 +123,9 @@ def run_sweep(args) -> int:
     except ValueError:
         print("error: --range must be start:stop:step", file=sys.stderr)
         return EXIT_INPUT
+    if not np.all(np.isfinite([start, stop, step])):
+        print("error: --range parts must be finite", file=sys.stderr)
+        return EXIT_INPUT
     if step <= 0 or start > stop:
         print("error: need step > 0 and start <= stop", file=sys.stderr)
         return EXIT_INPUT
@@ -241,6 +244,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("error: --in and --template are mutually exclusive",
                   file=sys.stderr)
             return EXIT_INPUT
+    if args.command != "validate" and not np.isfinite(args.tol):
+        print("error: --tol must be finite", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except RevemError as exc:

@@ -34,6 +34,8 @@ class CQChannel:
         self.states = np.asarray(self.states, dtype=complex)
         if self.states.ndim != 3 or self.states.shape[1] != self.states.shape[2]:
             raise InvalidChannelError("states must be a stack of square matrices")
+        if not np.all(np.isfinite(self.states)):
+            raise InvalidChannelError("states have non-finite entries")
         for idx, rho in enumerate(self.states):
             if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
                 raise InvalidChannelError(f"state {idx + 1} is not Hermitian")
@@ -53,12 +55,17 @@ class CQChannel:
         return self.states.shape[1]
 
 
+def _spectral_entropy(evals: Array) -> Array:
+    """-sum e log e over the last axis of ascending spectra, ignoring
+    eigenvalues at or below EIGEN_FLOOR times the largest."""
+    keep = evals > EIGEN_FLOOR * np.maximum(evals[..., -1:], 0.0)
+    return -np.sum(np.where(keep, evals * np.log(np.where(keep, evals, 1.0)), 0.0),
+                   axis=-1)
+
+
 def von_neumann_entropy(rho: Array) -> float:
     """-Tr rho log rho in nats, ignoring the numerically zero spectrum."""
-    evals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    floor = EIGEN_FLOOR * max(float(evals[-1]), 0.0)
-    pos = evals[evals > max(floor, 0.0)]
-    return float(-np.sum(pos * np.log(pos)))
+    return float(_spectral_entropy(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
 def _tr_rho_log_sigma(rho: Array, sigma: Array) -> float:
@@ -222,9 +229,19 @@ def capacity_cq_noniterative(channel: CQChannel) -> CapacityOutcome:
         channel.n_inputs, lambda sub: cq_capacity_special(channel, sub))
 
 
+def holevo_batch(p: Array, channel: CQChannel) -> Array:
+    """Holevo quantity at each row of ``p``, as S(sum_j p_j rho_j) -
+    sum_j p_j S(rho_j) with one stacked eigenvalue decomposition."""
+    mixes = np.einsum("gj,jab->gab", p, channel.states)
+    entropies = np.array([von_neumann_entropy(rho) for rho in channel.states])
+    return _spectral_entropy(np.linalg.eigvalsh(mixes)) - p @ entropies
+
+
 def holevo_oracle(channel: CQChannel, grid_points: int = 2000) -> float:
     """Grid-plus-refinement maximization of the Holevo quantity (n1 = 2)."""
     if channel.n_inputs != 2:
         raise InvalidChannelError("the 1-d oracle needs exactly two inputs")
+    grid = np.linspace(0.0, 1.0, grid_points + 1)
     return maximize_on_unit_interval(
-        lambda s: holevo(np.array([s, 1 - s]), channel), grid_points)
+        lambda s: holevo(np.array([s, 1 - s]), channel),
+        holevo_batch(np.stack([grid, 1 - grid], axis=1), channel))

@@ -200,12 +200,13 @@ def least_norm_solve(mat: np.ndarray, rhs: np.ndarray,
 
 
 def maximize_on_unit_interval(value: Callable[[float], float],
-                              grid_points: int) -> float:
-    """Maximum of ``value`` on [0, 1]: the best of ``grid_points + 1`` grid
-    points, refined by golden-section search on the two grid cells around it.
+                              grid_values: np.ndarray) -> float:
+    """Maximum of ``value`` on [0, 1], given its values on the grid of
+    ``len(grid_values)`` equally spaced points: the best grid point, refined
+    by golden-section search on the two grid cells around it.
     """
-    grid = np.linspace(0.0, 1.0, grid_points + 1)
-    s = grid[int(np.argmax([value(x) for x in grid]))]
+    grid_points = len(grid_values) - 1
+    s = np.linspace(0.0, 1.0, grid_points + 1)[int(np.argmax(grid_values))]
     a = max(s - 2.0 / grid_points, 0.0)
     b = min(s + 2.0 / grid_points, 1.0)
     inv_phi = (np.sqrt(5) - 1) / 2

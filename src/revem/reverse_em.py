@@ -387,14 +387,6 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
     return natural_param(p.M_system, eta_a_new, theta_init=theta_a)
 
 
-def fixed_point_residual(p: ReverseEmProblem, theta_a: Array,
-                         state: Optional[Dict] = None) -> float:
-    """Norm of the invariance defect of theta_a under the projection pair."""
-    state = {} if state is None else state
-    _, residual, _ = _objective_and_residual(p, np.asarray(theta_a, dtype=float), state)
-    return residual
-
-
 def solve_reverse_em(p: ReverseEmProblem, theta_init: Array,
                      stepper: str = "natural", tol: float = 1e-10,
                      max_iter: int = 10000, eps: Optional[float] = None,

@@ -1,9 +1,11 @@
-"""Degraded wiretap channels: secrecy-capacity geometry over X x Z x Y,
-the iterative natural-parameter solver, and a grid oracle.
+"""Degraded wiretap channels: the channel, the degradedness check, the
+secrecy objectives, the iterative natural-parameter solver, and a grid
+oracle.
 
-The geometry's exponential family is the Markov-chain distributions
-P(y|z) P(x,z); the mixture family is {W x q}.  For channels satisfying the
-X - Y - Z degradedness the maximized objective equals I(X;Y) - I(X;Z).
+The geometry over X x Z x Y is ``classical.markov_geometry``: its
+exponential family is the Markov-chain distributions P(y|z) P(x,z), its
+mixture family is {W x q}.  For channels satisfying the X - Y - Z
+degradedness the maximized objective equals I(X;Y) - I(X;Z).
 """
 from __future__ import annotations
 
@@ -13,12 +15,11 @@ from typing import Tuple
 import numpy as np
 import scipy.optimize
 
-from .bregman import classical_system
-from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome, entropy,
-                        iterative_outcome, mutual_information)
+from .classical import (CapacityOutcome, entropy, iterative_outcome,
+                        markov_geometry, mutual_information)
 from .errors import InvalidChannelError, NotDegradedError
-from .numerics import kernel_basis, maximize_on_unit_interval
-from .reverse_em import CapacityGeometry, build_geometry
+from .numerics import maximize_on_unit_interval
+from .reverse_em import CapacityGeometry
 
 Array = np.ndarray
 
@@ -38,6 +39,8 @@ class WiretapChannel:
         self.tensor = np.asarray(self.tensor, dtype=float)
         if self.tensor.ndim != 3:
             raise InvalidChannelError("wiretap tensor must have shape (n1, n2, n3)")
+        if not np.all(np.isfinite(self.tensor)):
+            raise InvalidChannelError("wiretap tensor has non-finite entries")
         if np.any(self.tensor < -1e-12):
             raise InvalidChannelError("wiretap tensor has negative entries")
         sums = self.tensor.sum(axis=(1, 2))
@@ -123,83 +126,9 @@ def conditional_objective(channel: WiretapChannel, q: Array) -> float:
 
 
 def build_problem(channel: WiretapChannel) -> CapacityGeometry:
-    """Construct the X-Z-Y geometry; the mixture family decodes to {W x q}.
-
-    The geometry uses the channel regularized by GEOMETRY_REGULARIZATION.
-    """
-    n1, n2, n3 = channel.tensor.shape
-    if n1 < 2 or n3 < 2:
-        raise InvalidChannelError("need at least two inputs and two receiver outputs")
-    cell = n2 * n3
-    reg = (1.0 - GEOMETRY_REGULARIZATION) * channel.tensor + GEOMETRY_REGULARIZATION / cell
-
-    w_z = reg.sum(axis=2)  # (n1, n2)
-    cond = reg / w_z[:, :, None]  # P(y | x, z)
-
-    # Orthonormal complements of the last input's receiver conditionals.
-    duals = [kernel_basis(cond[-1, z][None, :]) for z in range(n2)]  # each (n3, n3-1)
-    h_cond = np.array([[duals[z].T @ cond[i, z] for z in range(n2)]
-                       for i in range(n1)])   # (n1, n2, n3-1)
-    h_joint = np.array([[duals[z].T @ reg[i, z] for z in range(n2)]
-                        for i in range(n1)])  # (n1, n2, n3-1)
-
-    k = n1 - 1
-    d = n1 * n2 * n3 - 1
-    l = n2 * (n1 + n3 - 1) - 1
-    n = n1 * n2 * n3
-
-    def unit(x=None, z=None):
-        """Indicator array over the ground set for fixed coordinates."""
-        arr = np.ones((n1, n2, n3))
-        if x is not None:
-            mask = np.zeros(n1)
-            mask[x] = 1.0
-            arr = arr * mask[:, None, None]
-        if z is not None:
-            mask = np.zeros(n2)
-            mask[z] = 1.0
-            arr = arr * mask[None, :, None]
-        return arr
-
-    feats = []
-    gens = []
-    # Input indicators (shared leading block).
-    for i in range(k):
-        col = unit(x=i).reshape(-1)
-        feats.append(col)
-        gens.append(col)
-    # Centered eavesdropper indicators, every input including the reference.
-    for i in range(n1):
-        base = unit(x=i)
-        for zp in range(n2 - 1):
-            col = (unit(x=i, z=zp) - w_z[i, zp] * base).reshape(-1)
-            feats.append(col)
-            gens.append(col)
-    # Receiver dual functions.
-    for i in range(n1):
-        for zp in range(n2):
-            block = np.zeros((n1, n2, n3))
-            for j in range(n3 - 1):
-                block[:] = 0.0
-                if i < n1 - 1:
-                    block[i, zp, :] = duals[zp][:, j] - h_cond[i, zp, j]
-                else:
-                    block[i, zp, :] = duals[zp][:, j]
-                feats.append(block.reshape(-1).copy())
-    for zp in range(n2):
-        for j in range(n3 - 1):
-            block = np.zeros((n1, n2, n3))
-            block[:, zp, :] = duals[zp][:, j]
-            gens.append(block.reshape(-1).copy())
-
-    feats = np.asarray(feats).T  # (n, d)
-    gens = np.asarray(gens).T    # (n, l)
-    if feats.shape != (n, d) or gens.shape != (n, l):
-        raise InvalidChannelError("internal: feature/generator block counts")
-
-    joint_uniform = (reg / n1).reshape(-1)
-    return build_geometry(classical_system(feats), feats, gens, k,
-                          feats.T @ joint_uniform, None)
+    """The X-Z-Y geometry (``classical.markov_geometry``); the mixture family
+    decodes to {W x q}."""
+    return markov_geometry(channel.tensor)
 
 
 def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10,
@@ -229,8 +158,10 @@ def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:
         return secrecy_objective(channel, q)
 
     if n1 == 2:
+        grid = np.linspace(0.0, 1.0, grid_points + 1)
         return maximize_on_unit_interval(
-            lambda s: value(np.array([s, 1 - s])), grid_points)
+            lambda s: value(np.array([s, 1 - s])),
+            [value(q) for q in np.stack([grid, 1 - grid], axis=1)])
 
     best = (-np.inf, None)
     m = max(grid_points // 4, 40)

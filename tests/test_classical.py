@@ -24,6 +24,8 @@ def test_channel_validation():
         Channel(np.array([[0.6, 0.3], [0.3, 0.7]]))
     with pytest.raises(InvalidChannelError):
         Channel(np.array([[1.2, 0.0], [-0.2, 1.0]]))
+    with pytest.raises(InvalidChannelError, match="non-finite"):
+        Channel(np.array([[np.nan, 0.5], [0.5, 0.5]]))
     ch = Channel(np.eye(3))
     assert ch.n_inputs == ch.n_outputs == 3
 

@@ -86,6 +86,31 @@ def test_capacity_bad_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, word):
+    with pytest.raises(ChannelFormatError, match="non-finite") as err:
+        parse_classical(f"0.5,{word}\n0.5,0.5\n")
+    assert (err.value.line, err.value.column) == (1, 2)
+    with pytest.raises(ChannelFormatError, match="non-finite"):
+        parse_wiretap(f"# n1=2 n2=1 n3=2\n0.5,0.5\n0.5,{word}\n")
+    with pytest.raises(ChannelFormatError, match="non-finite"):
+        parse_cq(f"# n1=1 dim=2\n0.5 0 0 0\n0 0 {word} 0\n")
+
+    bad = tmp_path / "w.csv"
+    bad.write_text(f"{word},0.5\n0.5,0.5\n")
+    for method in ("noniterative", "iterative", "em", "ba"):
+        assert main(["capacity", "--in", str(bad), "--method", method]) == 2
+    assert main(["validate", "--in", str(bad)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+    # "--opt=value", since argparse reads a bare "-inf" as an option name
+    assert main(["capacity", "--template", "bsc:0.1", f"--tol={word}"]) == 2
+    for args in ([f"--range={word}:0.4:0.1"], [f"--range=0:{word}:0.1"],
+                 [f"--range=0:0.4:{word}"], ["--range=0:0.4:0.1", f"--tol={word}"]):
+        assert main(["sweep", "--template", "bsc", *args]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_validate_ok(tmp_path, capsys):
     path = tmp_path / "w.csv"
     path.write_text(format_classical(template("chan1:0.1")))

@@ -6,7 +6,7 @@ from revem.classical import Channel, capacity_general, capacity_special
 from revem.cq import (CQChannel, _observable_basis, _regularize, build_problem,
                       capacity_cq_iterative, capacity_cq_noniterative,
                       cq_capacity_special, gell_mann_basis, holevo,
-                      holevo_oracle, von_neumann_entropy)
+                      holevo_batch, holevo_oracle, von_neumann_entropy)
 from revem.errors import DegenerateChannelError, InvalidChannelError
 
 
@@ -28,6 +28,8 @@ def test_validation():
         CQChannel(bad)
     with pytest.raises(InvalidChannelError):
         CQChannel(np.array([np.diag([0.7, 0.7])], dtype=complex))
+    with pytest.raises(InvalidChannelError, match="non-finite"):
+        CQChannel(np.array([np.diag([np.nan, 1.0])], dtype=complex))
 
 
 def test_gell_mann_and_observable_basis(rng):
@@ -204,3 +206,20 @@ def test_monotone_objective_and_gap_bound(rng):
     best = trace.objective_values[-1]
     for t in range(1, len(trace.objective_values) + 1):
         assert best - trace.objective_values[t - 1] <= np.log(2) / t + 1e-12
+
+
+def test_holevo_batch_matches_holevo(rng):
+    # The oracle's batched grid equals the scalar Holevo quantity, endpoints
+    # and rank-deficient states included.
+    grid = np.linspace(0.0, 1.0, 201)
+    for dim in (2, 3):
+        for rank in (dim, 1):
+            states = []
+            for _ in range(2):
+                a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+                rho = a @ a.conj().T
+                states.append(rho / np.trace(rho).real)
+            ch = CQChannel(np.array(states))
+            p = np.stack([grid, 1 - grid], axis=1)
+            expect = [holevo(row, ch) for row in p]
+            assert np.max(np.abs(holevo_batch(p, ch) - expect)) <= 1e-12

@@ -28,7 +28,7 @@ def test_v1_block_structure(rng):
 def test_bsc_uniform_is_fixed_point():
     prob = bsc_problem()
     theta = prob.theta_a_uniform
-    assert rem.fixed_point_residual(prob.rem, theta) < 1e-9
+    assert rem._objective_and_residual(prob.rem, theta, {})[1] < 1e-9
     for step in (rem.inverse_step_mixture, rem.inverse_step_natural):
         assert np.max(np.abs(step(prob.rem, theta) - theta)) < 1e-9
 
@@ -38,10 +38,10 @@ def test_fixed_point_matches_ba_optimum():
     prob = build_problem(channel)
     ba = blahut_arimoto(channel, tol=1e-13)
     coord = natural_param(prob.rem.M_system, ba.input_distribution[:-1])
-    assert rem.fixed_point_residual(prob.rem, coord) < 1e-6
+    assert rem._objective_and_residual(prob.rem, coord, {})[1] < 1e-6
     # a clearly suboptimal point is far from fixed
     off = natural_param(prob.rem.M_system, np.array([0.7, 0.1, 0.1]))
-    assert rem.fixed_point_residual(prob.rem, off) > 1e-3
+    assert rem._objective_and_residual(prob.rem, off, {})[1] > 1e-3
     # launching the solver at the optimum barely moves it
     trace = rem.solve_reverse_em(prob.rem, coord, stepper="natural", max_iter=3)
     moved = np.max(np.abs(trace.theta_a - coord))
@@ -100,7 +100,7 @@ def test_residual_formulations_agree(rng):
         r1 = np.linalg.norm(p.m_coords(back) - theta_a)
         assert abs(r1 - r2) < 1e-9
         assert abs(r2 - r3) < 1e-9
-        assert abs(rem.fixed_point_residual(p, theta_a) - r2) < 1e-9
+        assert abs(rem._objective_and_residual(p, theta_a, {})[1] - r2) < 1e-9
 
 
 def test_solver_capacities_and_monotonicity():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from revem import reverse_em as rem
-from revem.classical import Channel, capacity_general
+from revem import classical
+from revem.classical import Channel, capacity_general, capacity_special
 from revem.errors import InvalidChannelError, NotDegradedError
+from revem.numerics import kernel_basis
 from revem.wiretap import (WiretapChannel, build_problem, check_degraded,
                            conditional_objective, secrecy_capacity,
                            secrecy_objective, secrecy_oracle)
@@ -29,6 +31,10 @@ def random_degraded(rng, n1=2, n3=3, n2=2):
 def test_validation_and_marginals():
     with pytest.raises(InvalidChannelError):
         WiretapChannel(np.full((2, 2, 2), 0.3))
+    tensor = np.full((2, 2, 2), 0.25)
+    tensor[1, 0, 1] = np.nan
+    with pytest.raises(InvalidChannelError, match="non-finite"):
+        WiretapChannel(tensor)
     ch = degraded_channel(bsc_matrix(0.1), bsc_matrix(0.2))
     assert np.allclose(ch.bob_marginal(), bsc_matrix(0.1))
     assert np.allclose(ch.eve_marginal(),
@@ -129,6 +135,57 @@ def test_v1_block_pattern(rng):
     assert duals_block.shape == (k, n2 * (n3 - 1))
 
 
+def reference_columns(tensor):
+    """Features and generators of the X-Z-Y geometry, one column at a time."""
+    n1, n2, n3 = tensor.shape
+    reg = ((1.0 - classical.GEOMETRY_REGULARIZATION) * tensor
+           + classical.GEOMETRY_REGULARIZATION / (n2 * n3))
+    w_z = reg.sum(axis=2)
+    cond = reg / w_z[:, :, None]
+    duals = [kernel_basis(cond[-1, z][None, :]) for z in range(n2)]
+    feats, gens = [], []
+    for i in range(n1 - 1):
+        block = np.zeros((n1, n2, n3))
+        block[i] = 1.0
+        feats.append(block)
+        gens.append(block)
+    for i in range(n1):
+        for z in range(n2 - 1):
+            block = np.zeros((n1, n2, n3))
+            block[i] = -w_z[i, z]
+            block[i, z] += 1.0
+            feats.append(block)
+            gens.append(block)
+    for i in range(n1):
+        for z in range(n2):
+            for j in range(n3 - 1):
+                block = np.zeros((n1, n2, n3))
+                moment = duals[z][:, j] @ cond[i, z] if i < n1 - 1 else 0.0
+                block[i, z] = duals[z][:, j] - moment
+                feats.append(block)
+    for z in range(n2):
+        for j in range(n3 - 1):
+            block = np.zeros((n1, n2, n3))
+            block[:, z] = duals[z][:, j]
+            gens.append(block)
+    return (np.array([b.reshape(-1) for b in feats]).T,
+            np.array([b.reshape(-1) for b in gens]).T)
+
+
+def test_geometry_matches_column_by_column_reference(rng):
+    # markov_geometry assembles its columns with numpy; the loop above is the
+    # reference, for wiretap channels and for plain channels (|Z| = 1).
+    cases = [random_degraded(rng, n1=n1, n3=n3, n2=n2)
+             for n1, n2, n3 in ((2, 1, 3), (3, 2, 2), (3, 3, 4), (4, 2, 3))]
+    plain = Channel(rng.dirichlet(np.ones(4), size=3).T)
+    geometries = [(ch.tensor, build_problem(ch).rem) for ch in cases]
+    geometries.append((plain.matrix.T[:, None, :], classical.build_problem(plain).rem))
+    for tensor, p in geometries:
+        feats, gens = reference_columns(tensor)
+        assert np.max(np.abs(p.sys.features - feats)) <= 1e-12
+        assert np.max(np.abs(p.sys.features @ p.family_E.generators - gens)) <= 1e-12
+
+
 def test_monotone_objective_and_gap_bound(rng):
     ch = random_degraded(rng, n1=3, n3=3, n2=2)
     prob = build_problem(ch)
@@ -139,3 +196,38 @@ def test_monotone_objective_and_gap_bound(rng):
     best = trace.objective_values[-1]
     for t in range(1, len(trace.objective_values) + 1):
         assert best - trace.objective_values[t - 1] <= np.log(3) / t + 1e-12
+
+
+def test_one_letter_eavesdropper_has_the_split(rng):
+    # A wiretap channel whose eavesdropper sees one letter is the plain
+    # channel X -> Y: its geometry has the product split (DECISIONS.md), and
+    # the non-iterative formula on it gives the channel's capacity.
+    checked = 0
+    for _ in range(20):
+        n_in = int(rng.integers(2, 5))
+        w = rng.dirichlet(np.ones(int(rng.integers(n_in, 6))), size=n_in).T
+        w = (w + 0.02) / (1.0 + w.shape[0] * 0.02)
+        special = capacity_special(Channel(w))
+        if special.negative_support:
+            continue
+        p = build_problem(WiretapChannel(w.T[:, None, :])).rem
+        assert p.split is not None
+        assert abs(rem.non_iterative(p).capacity - special.capacity) <= 1e-10
+        checked += 1
+    assert checked >= 10
+
+
+def test_cross_hessian_vanishes_only_for_one_eve_letter(rng):
+    # F_E separates as F_a(theta_a) + F_b(theta_rest) iff its cross-Hessian
+    # between the input coordinates and the rest is zero: it is for |Z| = 1,
+    # and the input-specific eavesdropper coordinates make it nonzero for
+    # |Z| >= 2.
+    for n2 in (1, 2, 3):
+        ch = random_degraded(rng, n1=3, n3=3, n2=n2)
+        p = build_problem(ch).rem
+        _, _, hess = p.E_system.value_grad_hess(0.5 * rng.normal(size=p.l))
+        cross = np.max(np.abs(hess[:p.k, p.k:]))
+        if n2 == 1:
+            assert cross < 1e-12 and p.split is not None
+        else:
+            assert cross > 1e-3 and p.split is None

@@ -116,10 +116,7 @@ def parse_wiretap(text: str) -> WiretapChannel:
         raise ChannelFormatError(
             f"expected {n2 * n3} rows x {n1} columns, found {mat.shape}")
     _validate_columns(mat, rows)
-    tensor = np.zeros((n1, n2, n3))
-    for r in range(n2 * n3):
-        tensor[:, r // n3, r % n3] = mat[r]
-    return WiretapChannel(tensor)
+    return WiretapChannel(mat.T.reshape(n1, n2, n3))
 
 
 def parse_cq(text: str) -> CQChannel:
@@ -156,8 +153,8 @@ def format_classical(channel: Channel) -> str:
 def format_wiretap(channel: WiretapChannel) -> str:
     n1, n2, n3 = channel.n_inputs, channel.n_eve, channel.n_bob
     lines = [f"# n1={n1} n2={n2} n3={n3}"]
-    for r in range(n2 * n3):
-        lines.append(",".join(f"{v:.12g}" for v in channel.tensor[:, r // n3, r % n3]))
+    for row in channel.tensor.reshape(n1, -1).T:
+        lines.append(",".join(f"{v:.12g}" for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOCONV = 3
 
+# Largest number of points a sweep may have; --range is checked against it
+# before any point is built.
+MAX_SWEEP_POINTS = 100_000
+
 _FMT = "{:.12g}"
 
 
@@ -129,7 +133,12 @@ def run_sweep(args) -> int:
     if step <= 0 or start > stop:
         print("error: need step > 0 and start <= stop", file=sys.stderr)
         return EXIT_INPUT
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:  # also catches an infinite span
+        print(f"error: --range gives more than {MAX_SWEEP_POINTS} points",
+              file=sys.stderr)
+        return EXIT_INPUT
+    count = int(np.floor(span)) + 1
     values = [start + i * step for i in range(count)]
     payloads = [(args.template, args.method, v, args.tol) for v in values]
 

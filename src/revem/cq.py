@@ -142,65 +142,41 @@ def _regularize(states: Array, weight: float) -> Array:
 def build_problem(channel: CQChannel) -> CapacityGeometry:
     """Geometry on the joint classical-quantum system C x H_A.
 
-    The exponential family is the product states; the mixture family decodes
-    to the classical-quantum states of the channel.  Rank-deficient inputs
-    are regularized toward the maximally mixed state, at weight
-    GEOMETRY_REGULARIZATION, for the geometry only.
+    The layout is ``classical.markov_geometry``'s at |Z| = 1, with operators
+    in place of functions.  The features are the indicators of inputs
+    1..k, then every input's observables (those of ``split``) centred at
+    the input's moments, zero for the last input; the generators are the
+    indicators and the shared observables.  Each operator is block diagonal
+    over the inputs.  The exponential family is the product states; the
+    mixture family decodes to the classical-quantum states of the channel.
+    Rank-deficient inputs are regularized toward the maximally mixed state,
+    at weight GEOMETRY_REGULARIZATION, for the geometry only.
     """
     n1, n2 = channel.n_inputs, channel.dim
     if n1 < 2:
         raise InvalidChannelError("need at least two inputs")
     reg = _regularize(channel.states, GEOMETRY_REGULARIZATION)
-
     sp = split(reg)
-    obs = sp.sys_b.observables  # (n2^2-1, n2, n2)
-    n_obs = obs.shape[0]
-    h = sp.moments  # (n1 - 1, n2^2-1)
-
-    k = n1 - 1
-    d = n1 * n2 * n2 - 1
-    l = n1 + n2 * n2 - 2
-    dim_joint = n1 * n2
-
-    def embed(i: int, mat: Array) -> Array:
-        block = np.zeros((n1, n1), dtype=complex)
-        block[i, i] = 1.0
-        return np.kron(block, mat)
-
-    eye = np.eye(n2, dtype=complex)
-    xis = []
-    for i in range(k):
-        xis.append(embed(i, eye))
-    for i in range(n1):
-        for j in range(n_obs):
-            if i < n1 - 1:
-                xis.append(embed(i, obs[j] - h[i, j] * eye))
-            else:
-                xis.append(embed(i, obs[j]))
-    xis = np.asarray(xis)
-    if xis.shape[0] != d:
-        raise InvalidChannelError("internal: observable block count")
-
-    gens_ops = []
-    for i in range(k):
-        gens_ops.append(embed(i, eye))
-    for j in range(n_obs):
-        gens_ops.append(np.kron(np.eye(n1, dtype=complex), obs[j]))
-    gens_ops = np.asarray(gens_ops)
-
-    # The generators are fitted in the xi basis on the real vectors of the
-    # operators (stacked real and imaginary parts).
-    xi_vecs = np.concatenate([xis.real.reshape(d, -1),
-                              xis.imag.reshape(d, -1)], axis=1).T
-    g_vecs = np.concatenate([gens_ops.real.reshape(l, -1),
-                             gens_ops.imag.reshape(l, -1)], axis=1).T
-
-    rho_uniform = np.zeros((dim_joint, dim_joint), dtype=complex)
-    for i in range(n1):
-        rho_uniform += embed(i, reg[i]) / n1
-    return build_geometry(
-        quantum_system(xis), xi_vecs, g_vecs, k,
-        np.einsum("mab,ba->m", xis, rho_uniform).real, sp)
+    obs = sp.sys_b.observables  # [j, a, b]
+    k, n_obs = n1 - 1, obs.shape[0]
+    eye_x, eye_a = np.eye(n1), np.eye(n2, dtype=complex)
+    moments = np.concatenate([sp.moments, np.zeros((1, n_obs))])  # [x, j]
+    centred = obs[None] - moments[:, :, None, None] * eye_a  # [x, j, a, b]
+    # Per-input blocks [op, x, a, b]: the features, the shared generators
+    # and the uniform-input state, put on the block diagonal together.
+    blocks = np.concatenate([
+        np.einsum("ix,ab->ixab", eye_x[:k], eye_a),
+        np.einsum("ix,ijab->ijxab", eye_x, centred).reshape(-1, n1, n2, n2),
+        np.broadcast_to(obs[:, None], (n_obs, n1, n2, n2)),
+        reg[None] / n1])
+    ops = np.einsum("xy,mxab->mxayb", eye_x, blocks).reshape(len(blocks), n1 * n2, n1 * n2)
+    # The generators are fitted in the feature basis on the real vectors of
+    # the operators (stacked real and imaginary parts).
+    vecs = np.concatenate([ops.real, ops.imag], axis=1).reshape(len(ops), -1).T
+    n_feat = k + n1 * n_obs
+    gens = np.r_[:k, n_feat:n_feat + n_obs]
+    return build_geometry(quantum_system(ops[:n_feat]), vecs[:, :n_feat], vecs[:, gens],
+                          k, np.einsum("mab,ba->m", ops[:n_feat], ops[-1]).real, sp)
 
 
 def capacity_cq_iterative(channel: CQChannel, tol: float = 1e-10,

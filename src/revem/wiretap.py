@@ -1,5 +1,5 @@
 """Degraded wiretap channels: the channel, the degradedness check, the
-secrecy objectives, the iterative natural-parameter solver, and a grid
+secrecy objective, the iterative natural-parameter solver, and a grid
 oracle.
 
 The geometry over X x Z x Y is ``classical.markov_geometry``: its
@@ -15,8 +15,8 @@ from typing import Tuple
 import numpy as np
 import scipy.optimize
 
-from .classical import (CapacityOutcome, entropy, iterative_outcome,
-                        markov_geometry, mutual_information)
+from .classical import (CapacityOutcome, iterative_outcome, markov_geometry,
+                        mutual_information)
 from .errors import InvalidChannelError, NotDegradedError
 from .numerics import maximize_on_unit_interval
 from .reverse_em import CapacityGeometry
@@ -79,24 +79,10 @@ def check_degraded(channel: WiretapChannel, tol: float = 1e-8) -> Tuple[bool, fl
     w_y = channel.bob_marginal()  # (n3, n1)
     w_z = channel.eve_marginal()  # (n2, n1)
     n2, n3 = channel.n_eve, channel.n_bob
-    n1 = channel.n_inputs
     # Unknown T[z, y] = P(z | y), stacked row-major; equations: the marginal
-    # match (n1 * n2 rows) plus the column sums of T (n3 rows).
-    rows = []
-    rhs = []
-    for z in range(n2):
-        for x in range(n1):
-            coeff = np.zeros((n2, n3))
-            coeff[z, :] = w_y[:, x]
-            rows.append(coeff.reshape(-1))
-            rhs.append(w_z[z, x])
-    for y in range(n3):
-        coeff = np.zeros((n2, n3))
-        coeff[:, y] = 1.0
-        rows.append(coeff.reshape(-1))
-        rhs.append(1.0)
-    mat = np.asarray(rows)
-    vec = np.asarray(rhs)
+    # match W_Z[z, x] (n2 * n1 rows) plus the column sums of T (n3 rows).
+    mat = np.vstack([np.kron(np.eye(n2), w_y.T), np.kron(np.ones(n2), np.eye(n3))])
+    vec = np.concatenate([w_z.reshape(-1), np.ones(n3)])
     fit = scipy.optimize.lsq_linear(mat, vec, bounds=(0.0, np.inf))
     residual = float(np.linalg.norm(mat @ fit.x - vec))
     return residual <= tol, residual
@@ -106,23 +92,6 @@ def secrecy_objective(channel: WiretapChannel, q: Array) -> float:
     """I(X;Y) - I(X;Z) at the input distribution q (raw marginals)."""
     return (mutual_information(channel.bob_marginal(), q)
             - mutual_information(channel.eve_marginal(), q))
-
-
-def conditional_objective(channel: WiretapChannel, q: Array) -> float:
-    """I(X;Y|Z) at q: the quantity the geometry maximizes for any channel."""
-    q = np.asarray(q, dtype=float)
-    joint = channel.tensor * q[:, None, None]  # (x, z, y)
-    total = 0.0
-    for z in range(channel.n_eve):
-        pz = joint[:, z, :].sum()
-        if pz <= 0:
-            continue
-        cond = joint[:, z, :] / pz  # distribution of (x, y) given z
-        qx = cond.sum(axis=1)
-        total += pz * (entropy(cond.sum(axis=0)) - sum(
-            qx[x] * entropy(cond[x] / qx[x]) for x in range(channel.n_inputs)
-            if qx[x] > 0))
-    return float(total)
 
 
 def build_problem(channel: WiretapChannel) -> CapacityGeometry:

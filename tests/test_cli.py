@@ -6,6 +6,7 @@ import pytest
 from revem.channel_io import (ChannelFormatError, format_classical, format_cq,
                               format_wiretap, parse_classical, parse_cq,
                               parse_wiretap, template)
+from revem import cli
 from revem.cli import main
 from revem.classical import Channel
 from revem.cq import CQChannel, _regularize
@@ -157,6 +158,20 @@ def test_sweep_deterministic(tmp_path):
     assert len(lines) == 6
     assert all(line.endswith("ok") for line in lines[1:])
     assert all(line.split(",")[6] == "1111" for line in lines[1:])
+
+
+def test_sweep_point_count_is_bounded(capsys, monkeypatch):
+    # The bound is checked before any point is built: a range one point over
+    # it, or one whose point count overflows, never reaches _sweep_point.
+    def built(payload):
+        raise AssertionError("a sweep point was built")
+
+    monkeypatch.setattr(cli, "_sweep_point", built)
+    bound = cli.MAX_SWEEP_POINTS
+    assert main(["sweep", "--template", "bsc", "--range", "0:1e308:1e-300"]) == 2
+    assert main(["sweep", "--template", "bsc", "--range", f"0:{bound}:1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --range gives more than {bound} points"] * 2
 
 
 def test_wiretap_and_cq_commands(tmp_path, capsys):

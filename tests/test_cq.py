@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from revem import reverse_em as rem
-from revem.classical import Channel, capacity_general, capacity_special
+from revem.classical import (GEOMETRY_REGULARIZATION, Channel, capacity_general,
+                             capacity_special)
 from revem.cq import (CQChannel, _observable_basis, _regularize, build_problem,
                       capacity_cq_iterative, capacity_cq_noniterative,
                       cq_capacity_special, gell_mann_basis, holevo,
-                      holevo_batch, holevo_oracle, von_neumann_entropy)
+                      holevo_batch, holevo_oracle, split, von_neumann_entropy)
 from revem.errors import DegenerateChannelError, InvalidChannelError
 
 
@@ -90,6 +92,45 @@ def test_build_problem_structure(rng):
     q = prob.decode_input(theta_a)
     for i in range(n1):
         assert np.max(np.abs(blocks[i, :, i, :] - q[i] * ch.states[i])) < 1e-9
+
+
+def reference_operators(states):
+    """Features and generators of the cq geometry, one block-diagonal
+    operator at a time."""
+    n1, dim = states.shape[:2]
+    reg = _regularize(states, GEOMETRY_REGULARIZATION)
+    obs = split(reg).sys_b.observables
+    eye = np.eye(dim)
+
+    def at_input(i, block):
+        return block_diag(*[block if x == i else 0 * eye for x in range(n1)])
+
+    feats = [at_input(i, eye) for i in range(n1 - 1)]
+    gens = list(feats)
+    for i in range(n1):
+        for o in obs:
+            moment = np.trace(o @ reg[i]).real if i < n1 - 1 else 0.0
+            feats.append(at_input(i, o - moment * eye))
+    gens += [block_diag(*[o] * n1) for o in obs]
+    return np.array(feats), np.array(gens)
+
+
+def test_geometry_matches_block_by_block_reference(rng):
+    # build_problem puts every operator on the block diagonal at once; the
+    # loop above is the reference, for qubits and qutrits, two to four
+    # inputs, and a rank-one state.
+    pure = rng.normal(size=3) + 1j * rng.normal(size=3)
+    pure /= np.linalg.norm(pure)
+    cases = [np.array([random_density(rng, dim) for _ in range(n1)])
+             for n1, dim in ((2, 2), (2, 3), (3, 2), (4, 3))]
+    cases.append(np.array([np.outer(pure, pure.conj()), random_density(rng, 3),
+                           random_density(rng, 3)]))
+    for states in cases:
+        p = build_problem(CQChannel(states)).rem
+        feats, gens = reference_operators(states)
+        assert np.max(np.abs(p.sys.observables - feats)) <= 1e-12
+        fitted = np.einsum("jm,jab->mab", p.family_E.generators, p.sys.observables)
+        assert np.max(np.abs(fitted - gens)) <= 1e-12
 
 
 def test_objective_identity_holevo(rng):

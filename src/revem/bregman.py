@@ -9,13 +9,12 @@ divergence and the quantum relative entropy.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, ImageMembershipError, InvalidSpecError
-from .numerics import (DEFAULT_GRAD_TOL, DEFAULT_MAX_ITER, Minimizer,
-                       minimize_fgh)
+from .numerics import DEFAULT_GRAD_TOL, Minimizer, minimize_fgh
 
 Array = np.ndarray
 
@@ -23,39 +22,35 @@ Array = np.ndarray
 class BregmanSystem:
     """Potential F, gradient (mixture parameter map), Hessian and domain.
 
+    A system implements ``potential``, ``value_grad`` and
+    ``value_grad_hess``; ``gradient`` and ``hessian`` are read from them.
     Instances are immutable after construction; every method is a pure
     function of its arguments, so systems are safe to share across threads.
     The systems ``families`` projects onto also have ``restrict(generators,
     offset)``, the system of the slice theta = offset + generators @ coords.
     """
 
-    def __init__(self, dim: int,
-                 potential: Callable[[Array], float],
-                 gradient: Callable[[Array], Array],
-                 hessian: Callable[[Array], Array]):
+    def __init__(self, dim: int):
         self.dim = int(dim)
-        self._potential = potential
-        self._gradient = gradient
-        self._hessian = hessian
 
     def in_domain(self, theta: Array) -> bool:
         theta = np.asarray(theta, dtype=float)
         return theta.shape == (self.dim,) and bool(np.all(np.isfinite(theta)))
 
     def potential(self, theta: Array) -> float:
-        return float(self._potential(np.asarray(theta, dtype=float)))
-
-    def gradient(self, theta: Array) -> Array:
-        return np.asarray(self._gradient(np.asarray(theta, dtype=float)), dtype=float)
-
-    def hessian(self, theta: Array) -> Array:
-        return np.asarray(self._hessian(np.asarray(theta, dtype=float)), dtype=float)
+        raise NotImplementedError
 
     def value_grad(self, theta: Array):
-        return self.potential(theta), self.gradient(theta)
+        raise NotImplementedError
 
     def value_grad_hess(self, theta: Array):
-        return self.potential(theta), self.gradient(theta), self.hessian(theta)
+        raise NotImplementedError
+
+    def gradient(self, theta: Array) -> Array:
+        return self.value_grad(theta)[1]
+
+    def hessian(self, theta: Array) -> Array:
+        return self.value_grad_hess(theta)[2]
 
 
 def _logsumexp(v: Array):
@@ -72,7 +67,7 @@ class ClassicalSystem(BregmanSystem):
         self.features = np.asarray(features, dtype=float)
         n, d = self.features.shape
         self.base = np.zeros(n) if base is None else np.asarray(base, dtype=float)
-        super().__init__(d, self._pot, self._grad, self._hess)
+        super().__init__(d)
 
     def _logits(self, theta):
         return self.base + self.features @ theta
@@ -82,14 +77,8 @@ class ClassicalSystem(BregmanSystem):
         _, p = _logsumexp(self._logits(np.asarray(theta, dtype=float)))
         return p
 
-    def _pot(self, theta):
-        return _logsumexp(self._logits(theta))[0]
-
-    def _grad(self, theta):
-        return self.value_grad(theta)[1]
-
-    def _hess(self, theta):
-        return self.value_grad_hess(theta)[2]
+    def potential(self, theta):
+        return float(_logsumexp(self._logits(np.asarray(theta, dtype=float)))[0])
 
     def value_grad(self, theta):
         f, p = _logsumexp(self._logits(np.asarray(theta, dtype=float)))
@@ -119,7 +108,7 @@ class QuantumSystem(BregmanSystem):
         self.hilbert_dim = n
         self.base = np.zeros((n, n), dtype=complex) if base is None \
             else np.asarray(base, dtype=complex)
-        super().__init__(d, self._pot, self._grad, self._hess)
+        super().__init__(d)
 
     def _eig(self, theta):
         a = self.base + np.einsum("j,jab->ab", theta, self.observables)
@@ -131,15 +120,9 @@ class QuantumSystem(BregmanSystem):
         _, w = _logsumexp(evals)
         return (evecs * w) @ evecs.conj().T
 
-    def _pot(self, theta):
-        evals, _ = self._eig(theta)
-        return _logsumexp(evals)[0]
-
-    def _grad(self, theta):
-        return self.value_grad(theta)[1]
-
-    def _hess(self, theta):
-        return self.value_grad_hess(theta)[2]
+    def potential(self, theta):
+        evals, _ = self._eig(np.asarray(theta, dtype=float))
+        return float(_logsumexp(evals)[0])
 
     def _contract(self, evecs, w):
         """Gradient Tr(rho X_j) at rho = evecs diag(w) evecs^H."""
@@ -181,7 +164,7 @@ class QuantumSystem(BregmanSystem):
         return QuantumSystem(obs, base)
 
 
-def classical_system(features: Array, base: Optional[Array] = None) -> ClassicalSystem:
+def classical_system(features: Array) -> ClassicalSystem:
     """Build the log-partition system for d feature functions on n points.
 
     The features must be linearly independent and their span must not contain
@@ -196,10 +179,10 @@ def classical_system(features: Array, base: Optional[Array] = None) -> Classical
     aug = np.hstack([features, np.ones((n, 1))])
     if np.linalg.matrix_rank(aug, tol=1e-10) != d + 1:
         raise InvalidSpecError("feature span contains the constant function")
-    return ClassicalSystem(features, base)
+    return ClassicalSystem(features)
 
 
-def quantum_system(observables: Array, base: Optional[Array] = None) -> QuantumSystem:
+def quantum_system(observables: Array) -> QuantumSystem:
     """Build the trace-exponential system for d Hermitian observables.
 
     The observables must be linearly independent and their span must not
@@ -219,7 +202,7 @@ def quantum_system(observables: Array, base: Optional[Array] = None) -> QuantumS
     aug = np.vstack([vecs, np.hstack([eye, np.zeros((1, n * n))])])
     if np.linalg.matrix_rank(aug, tol=1e-10) != d + 1:
         raise InvalidSpecError("observable span contains the identity")
-    return QuantumSystem(obs, base)
+    return QuantumSystem(obs)
 
 
 def divergence(sys: BregmanSystem, theta1: Array, theta2: Array) -> float:
@@ -234,11 +217,11 @@ def divergence(sys: BregmanSystem, theta1: Array, theta2: Array) -> float:
 
 def natural_param(sys: BregmanSystem, eta: Array,
                   theta_init: Optional[Array] = None,
-                  grad_tol: float = DEFAULT_GRAD_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> Array:
+                  grad_tol: float = DEFAULT_GRAD_TOL) -> Array:
     """Invert the gradient map: the unique theta with grad F(theta) = eta.
 
-    Solved by minimizing F(theta) - <eta, theta>.  Non-convergence signals
+    Solved by minimizing F(theta) - <eta, theta> with ``minimize_fgh``, at
+    most DEFAULT_MAX_ITER Newton steps.  Non-convergence signals
     that eta lies outside the image of the gradient map and raises
     ImageMembershipError.
     """
@@ -249,7 +232,7 @@ def natural_param(sys: BregmanSystem, eta: Array,
         f, g, h = sys.value_grad_hess(th)
         return f - eta @ th, g - eta, h
 
-    res: Minimizer = minimize_fgh(fgh, x0, grad_tol=grad_tol, max_iter=max_iter)
+    res: Minimizer = minimize_fgh(fgh, x0, grad_tol=grad_tol)
     if not res.converged:
         raise ImageMembershipError(
             f"mixture parameter not reached (gradient norm {res.gradient_norm:.3e}); "
@@ -257,9 +240,8 @@ def natural_param(sys: BregmanSystem, eta: Array,
     return res.point
 
 
-def legendre(sys: BregmanSystem, eta: Array,
-             theta_init: Optional[Array] = None) -> float:
+def legendre(sys: BregmanSystem, eta: Array) -> float:
     """Legendre transform F*(eta) = <eta, theta(eta)> - F(theta(eta))."""
     eta = np.asarray(eta, dtype=float)
-    theta = natural_param(sys, eta, theta_init)
+    theta = natural_param(sys, eta)
     return float(eta @ theta - sys.potential(theta))

@@ -194,11 +194,12 @@ def build_problem(channel: Channel) -> CapacityGeometry:
 
 
 def iterative_outcome(geo: CapacityGeometry, objective: Callable[[Array], float],
-                      tol: float, max_iter: int) -> CapacityOutcome:
-    """Natural-step reverse-em solve from the uniform input, reported as the
-    raw channel's ``objective`` at the decoded input distribution."""
+                      tol: float) -> CapacityOutcome:
+    """Natural-step reverse-em solve from the uniform input, at
+    ``solve_reverse_em``'s default iteration cap, reported as the raw
+    channel's ``objective`` at the decoded input distribution."""
     trace = solve_reverse_em(geo.rem, geo.theta_a_uniform, stepper="natural",
-                             tol=tol, max_iter=max_iter)
+                             tol=tol)
     q = geo.decode_input(trace.theta_a)
     return CapacityOutcome(objective(q), q, (), "iterative",
                            iterations=trace.iterations,
@@ -219,12 +220,10 @@ def em_outcome(geo: CapacityGeometry,
                            converged=found)
 
 
-def capacity_iterative(channel: Channel, tol: float = 1e-10,
-                       max_iter: int = 10000) -> CapacityOutcome:
+def capacity_iterative(channel: Channel, tol: float = 1e-10) -> CapacityOutcome:
     """Reverse-em capacity from the uniform input coordinate (natural step)."""
     return iterative_outcome(build_problem(channel),
-                             lambda q: mutual_information(channel.matrix, q),
-                             tol, max_iter)
+                             lambda q: mutual_information(channel.matrix, q), tol)
 
 
 def capacity_em(channel: Channel) -> CapacityOutcome:

@@ -142,9 +142,11 @@ def run_sweep(args) -> int:
     values = [start + i * step for i in range(count)]
     payloads = [(args.template, args.method, v, args.tol) for v in values]
 
+    # REVEM_THREADS may ask for fewer workers than CPUs, never for more.
+    cpus = os.cpu_count() or 1
     workers_env = os.environ.get("REVEM_THREADS", "")
-    workers = int(workers_env) if workers_env.isdigit() and int(workers_env) > 0 else (
-        os.cpu_count() or 1)
+    workers = (min(int(workers_env), cpus)
+               if workers_env.isdigit() and int(workers_env) > 0 else cpus)
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             results = list(pool.map(_sweep_point, payloads))
@@ -253,8 +255,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("error: --in and --template are mutually exclusive",
                   file=sys.stderr)
             return EXIT_INPUT
-    if args.command != "validate" and not np.isfinite(args.tol):
-        print("error: --tol must be finite", file=sys.stderr)
+    if args.command != "validate" and not (np.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be finite and positive", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

@@ -23,6 +23,9 @@ Array = np.ndarray
 # matrices may be numerically rank-deficient.
 EIGEN_FLOOR = 1e-14
 
+# holevo_oracle's grid has HOLEVO_GRID_POINTS + 1 equally spaced points.
+HOLEVO_GRID_POINTS = 2000
+
 
 @dataclass(eq=False)
 class CQChannel:
@@ -32,8 +35,9 @@ class CQChannel:
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=complex)
-        if self.states.ndim != 3 or self.states.shape[1] != self.states.shape[2]:
-            raise InvalidChannelError("states must be a stack of square matrices")
+        if (self.states.ndim != 3 or self.states.shape[1] != self.states.shape[2]
+                or self.states.size == 0):
+            raise InvalidChannelError("states must be a nonempty stack of square matrices")
         if not np.all(np.isfinite(self.states)):
             raise InvalidChannelError("states have non-finite entries")
         for idx, rho in enumerate(self.states):
@@ -127,7 +131,11 @@ def _observable_basis(reference: Array) -> Array:
 
 def split(states: Array) -> Split:
     """Product split of the geometry of the cq channel with these states;
-    the observables of F_b are ``_observable_basis`` of the last state."""
+    the observables of F_b are ``_observable_basis`` of the last state.
+    States of dimension one have no observable and raise
+    InvalidChannelError; so does ``build_problem``, through this split."""
+    if states.shape[1] < 2:
+        raise InvalidChannelError("split needs states of dimension at least two")
     obs = _observable_basis(states[-1])
     entropies = np.array([von_neumann_entropy(rho) for rho in states])
     return Split(quantum_system(obs), np.einsum("jab,iba->ij", obs, states[:-1]).real,
@@ -179,11 +187,9 @@ def build_problem(channel: CQChannel) -> CapacityGeometry:
                           k, np.einsum("mab,ba->m", ops[:n_feat], ops[-1]).real, sp)
 
 
-def capacity_cq_iterative(channel: CQChannel, tol: float = 1e-10,
-                          max_iter: int = 10000) -> CapacityOutcome:
+def capacity_cq_iterative(channel: CQChannel, tol: float = 1e-10) -> CapacityOutcome:
     """Reverse-em capacity (maximal Holevo quantity) from uniform input."""
-    return iterative_outcome(build_problem(channel), lambda p: holevo(p, channel),
-                             tol, max_iter)
+    return iterative_outcome(build_problem(channel), lambda p: holevo(p, channel), tol)
 
 
 def cq_capacity_special(channel: CQChannel,
@@ -213,11 +219,12 @@ def holevo_batch(p: Array, channel: CQChannel) -> Array:
     return _spectral_entropy(np.linalg.eigvalsh(mixes)) - p @ entropies
 
 
-def holevo_oracle(channel: CQChannel, grid_points: int = 2000) -> float:
-    """Grid-plus-refinement maximization of the Holevo quantity (n1 = 2)."""
+def holevo_oracle(channel: CQChannel) -> float:
+    """Grid-plus-refinement maximization of the Holevo quantity (n1 = 2),
+    on the grid of HOLEVO_GRID_POINTS + 1 points."""
     if channel.n_inputs != 2:
         raise InvalidChannelError("the 1-d oracle needs exactly two inputs")
-    grid = np.linspace(0.0, 1.0, grid_points + 1)
+    grid = np.linspace(0.0, 1.0, HOLEVO_GRID_POINTS + 1)
     return maximize_on_unit_interval(
         lambda s: holevo(np.array([s, 1 - s]), channel),
         holevo_batch(np.stack([grid, 1 - grid], axis=1), channel))

@@ -72,8 +72,8 @@ class MixtureSubfamily:
             raise InvalidSpecError("basis is singular")
 
 
-def m_projection(sys: BregmanSystem, family: ExponentialSubfamily, theta: Array,
-                 grad_tol: float = 1e-10) -> Tuple[Array, Array]:
+def m_projection(sys: BregmanSystem, family: ExponentialSubfamily,
+                 theta: Array) -> Tuple[Array, Array]:
     """Divergence-minimizing member of the exponential subfamily from theta.
 
     Characterized by matching mixture parameters along the generators;
@@ -83,15 +83,13 @@ def m_projection(sys: BregmanSystem, family: ExponentialSubfamily, theta: Array,
     target = family.generators.T @ sys.gradient(theta)
     sub = sys.restrict(family.generators, family.offset)
     try:
-        coords = natural_param(sub, target, theta_init=family.coords(theta),
-                               grad_tol=grad_tol)
+        coords = natural_param(sub, target, theta_init=family.coords(theta))
     except ImageMembershipError as exc:
         raise ProjectionError(f"m-projection failed: {exc}") from exc
     return coords, family.ambient(coords)
 
 
-def e_projection(sys: BregmanSystem, family: MixtureSubfamily, theta: Array,
-                 grad_tol: float = 1e-10) -> Array:
+def e_projection(sys: BregmanSystem, family: MixtureSubfamily, theta: Array) -> Array:
     """Divergence-minimizing member of the mixture subfamily toward theta.
 
     The projection shifts theta along the constraint directions u_{k+1..d};
@@ -103,7 +101,7 @@ def e_projection(sys: BregmanSystem, family: MixtureSubfamily, theta: Array,
         return theta.copy()
     sub = sys.restrict(dirs, theta)
     try:
-        tau = natural_param(sub, family.targets, grad_tol=grad_tol)
+        tau = natural_param(sub, family.targets)
     except ImageMembershipError as exc:
         raise ProjectionError(f"e-projection failed: {exc}") from exc
     return theta + dirs @ tau

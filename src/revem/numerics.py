@@ -94,7 +94,6 @@ def minimize_fgh(
     fgh: Callable[[np.ndarray], tuple],
     x0: np.ndarray,
     grad_tol: float = DEFAULT_GRAD_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     extra_stop: Optional[Callable[[np.ndarray, float, np.ndarray, np.ndarray], bool]] = None,
 ) -> Minimizer:
     """Damped-Newton descent on a fused (value, gradient, hessian) callback.
@@ -108,6 +107,7 @@ def minimize_fgh(
     ``extra_stop`` lets a caller terminate on its own certificate (used by
     the eps-approximate reverse-em step).  Falls back to gradient descent
     with Armijo backtracking when the Hessian cannot be Cholesky-factored.
+    Takes at most DEFAULT_MAX_ITER Newton steps.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g, hess = fgh(x)
@@ -117,14 +117,14 @@ def minimize_fgh(
 
     best = (x, f, g)
     iterations = 0
-    for iterations in range(max_iter + 1):
+    for iterations in range(DEFAULT_MAX_ITER + 1):
         # Equal to np.linalg.norm(g), which is sqrt(g.dot(g)) for 1-D real g.
         gnorm = math.sqrt(float(g @ g))
         if gnorm <= grad_tol:
             return Minimizer(x, float(f), gnorm, iterations, True)
         if extra_stop is not None and extra_stop(x, f, g, hess):
             return Minimizer(x, float(f), gnorm, iterations, True)
-        if iterations == max_iter:
+        if iterations == DEFAULT_MAX_ITER:
             break
 
         direction = _chol_solve(hess, -g)
@@ -161,27 +161,25 @@ def minimize_fgh(
     return Minimizer(x, float(f), gnorm, iterations, gnorm <= grad_tol)
 
 
-def kernel_basis(mat: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def kernel_basis(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of ``mat`` as a q x r matrix.
 
-    The numerical rank counts singular values above ``rank_tol`` times the
-    largest one; r may be zero, giving an empty basis.
+    The numerical rank counts singular values above DEFAULT_RANK_TOL times
+    the largest one; r may be zero, giving an empty basis.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     q = mat.shape[1]
     if mat.shape[0] == 0 or q == 0:
         return np.eye(q)
     _, svals, vt = np.linalg.svd(mat)
     smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > rank_tol * smax)) if smax > 0 else 0
+    rank = int(np.sum(svals > DEFAULT_RANK_TOL * smax)) if smax > 0 else 0
     return vt[rank:].T.copy()
 
 
-def least_norm_solve(mat: np.ndarray, rhs: np.ndarray,
-                     rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Minimum-norm solution of mat @ x = rhs via a thresholded pseudo-inverse.
+def least_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of mat @ x = rhs via the pseudo-inverse that
+    drops singular values below DEFAULT_RANK_TOL times the largest.
 
     Raises InfeasibleSystemError when the residual exceeds 1e-8 * (1 + |rhs|),
     i.e. when rhs is not in the numerical column space.
@@ -191,7 +189,7 @@ def least_norm_solve(mat: np.ndarray, rhs: np.ndarray,
     if mat.shape[1] == 0:
         x = np.zeros(0)
     else:
-        x = np.linalg.pinv(mat, rcond=rank_tol) @ rhs
+        x = np.linalg.pinv(mat, rcond=DEFAULT_RANK_TOL) @ rhs
     residual = float(np.linalg.norm(mat @ x - rhs)) if mat.size else float(np.linalg.norm(rhs))
     if residual > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
         raise InfeasibleSystemError(

@@ -238,12 +238,16 @@ def _objective_and_residual(p: ReverseEmProblem, theta_a: Array,
 
 _EM_NORM_GUARD = 200.0
 
+# em_minimize converges once the divergence moves by less than this.
+EM_TOL = 1e-13
+
 
 def em_minimize(sys: BregmanSystem, family_M: MixtureSubfamily,
                 family_E: ExponentialSubfamily, theta_init: Array,
-                tol: float = 1e-12, max_iter: int = 5000) -> EmResult:
+                max_iter: int = 5000) -> EmResult:
     """Alternating e-/m-projections minimizing the divergence between the
     mixture and exponential subfamilies; returns the minimized divergence.
+    Converges once one pass moves the divergence by less than EM_TOL.
 
     Stops unconverged as soon as the mixture iterate leaves the box
     |theta| <= _EM_NORM_GUARD: the families then do not meet and the
@@ -260,7 +264,7 @@ def em_minimize(sys: BregmanSystem, family_M: MixtureSubfamily,
         _, theta_e = m_projection(sys, family_E, theta_m)
         new_gap = divergence(sys, theta_m, theta_e)
         diverged = np.max(np.abs(theta_m)) > _EM_NORM_GUARD
-        converged = not diverged and abs(gap - new_gap) < tol
+        converged = not diverged and abs(gap - new_gap) < EM_TOL
         gap = new_gap
         if diverged or converged:
             break
@@ -442,7 +446,7 @@ class _SumSystem(BregmanSystem):
     def __init__(self, first: BregmanSystem, second: BregmanSystem, dim: int):
         self.first = first
         self.second = second
-        super().__init__(dim, self._pot, self._grad, self._hess)
+        super().__init__(dim)
 
     def _parts(self, x):
         return x, x
@@ -450,15 +454,9 @@ class _SumSystem(BregmanSystem):
     def _join(self, u, v):
         return u + v
 
-    def _pot(self, x):
-        a, b = self._parts(x)
+    def potential(self, x):
+        a, b = self._parts(np.asarray(x, dtype=float))
         return self.first.potential(a) + self.second.potential(b)
-
-    def _grad(self, x):
-        return self.value_grad(x)[1]
-
-    def _hess(self, x):
-        return self.value_grad_hess(x)[2]
 
     def value_grad(self, x):
         a, b = self._parts(np.asarray(x, dtype=float))
@@ -513,8 +511,7 @@ def em_conversion(p: ReverseEmProblem, max_iter: int = 20) -> EmConversionResult
     e_hat = ExponentialSubfamily(np.vstack([p.dual_matrix, np.eye(l)]), np.zeros(k + l))
 
     try:
-        run = em_minimize(prod, m_hat, e_hat, np.zeros(k + l), tol=1e-13,
-                          max_iter=max_iter)
+        run = em_minimize(prod, m_hat, e_hat, np.zeros(k + l), max_iter=max_iter)
     except ProjectionError as exc:
         return EmConversionResult(False, None, None, None, np.inf, 0,
                                   f"projection failure: {exc}")

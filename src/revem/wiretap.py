@@ -23,6 +23,9 @@ from .reverse_em import CapacityGeometry
 
 Array = np.ndarray
 
+# Largest residual of check_degraded's fit that still counts as degraded.
+DEGRADED_TOL = 1e-8
+
 
 @dataclass(eq=False)
 class WiretapChannel:
@@ -37,8 +40,9 @@ class WiretapChannel:
 
     def __post_init__(self):
         self.tensor = np.asarray(self.tensor, dtype=float)
-        if self.tensor.ndim != 3:
-            raise InvalidChannelError("wiretap tensor must have shape (n1, n2, n3)")
+        if self.tensor.ndim != 3 or self.tensor.size == 0:
+            raise InvalidChannelError(
+                "wiretap tensor must have shape (n1, n2, n3) with no empty axis")
         if not np.all(np.isfinite(self.tensor)):
             raise InvalidChannelError("wiretap tensor has non-finite entries")
         if np.any(self.tensor < -1e-12):
@@ -70,11 +74,11 @@ class WiretapChannel:
         return self.tensor.sum(axis=2).T
 
 
-def check_degraded(channel: WiretapChannel, tol: float = 1e-8) -> Tuple[bool, float]:
+def check_degraded(channel: WiretapChannel) -> Tuple[bool, float]:
     """Least-squares feasibility of a stochastic map T with W_Z = T W_Y.
 
     Returns (feasible, residual); feasible iff the residual of the
-    nonnegative least-squares fit is below ``tol``.
+    nonnegative least-squares fit is at most DEGRADED_TOL.
     """
     w_y = channel.bob_marginal()  # (n3, n1)
     w_z = channel.eve_marginal()  # (n2, n1)
@@ -85,7 +89,7 @@ def check_degraded(channel: WiretapChannel, tol: float = 1e-8) -> Tuple[bool, fl
     vec = np.concatenate([w_z.reshape(-1), np.ones(n3)])
     fit = scipy.optimize.lsq_linear(mat, vec, bounds=(0.0, np.inf))
     residual = float(np.linalg.norm(mat @ fit.x - vec))
-    return residual <= tol, residual
+    return residual <= DEGRADED_TOL, residual
 
 
 def secrecy_objective(channel: WiretapChannel, q: Array) -> float:
@@ -100,8 +104,7 @@ def build_problem(channel: WiretapChannel) -> CapacityGeometry:
     return markov_geometry(channel.tensor)
 
 
-def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10,
-                     max_iter: int = 10000) -> CapacityOutcome:
+def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10) -> CapacityOutcome:
     """Secrecy capacity max_q I(X;Y) - I(X;Z) of a degraded wiretap channel.
 
     Verifies degradedness first (the secrecy formula presumes X - Y - Z),
@@ -112,7 +115,7 @@ def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10,
         raise NotDegradedError(
             f"channel fails the X-Y-Z degradedness check (residual {residual:.3e})")
     return iterative_outcome(build_problem(channel),
-                             lambda q: secrecy_objective(channel, q), tol, max_iter)
+                             lambda q: secrecy_objective(channel, q), tol)
 
 
 def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:

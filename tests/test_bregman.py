@@ -7,11 +7,17 @@ from revem.bregman import (BregmanSystem, classical_system, divergence,
 from revem.errors import InvalidSpecError
 
 
-def quadratic_system(dim):
-    return BregmanSystem(dim,
-                         lambda th: 0.5 * float(th @ th),
-                         lambda th: th.copy(),
-                         lambda th: np.eye(dim))
+class QuadraticSystem(BregmanSystem):
+    """F(theta) = |theta|^2 / 2."""
+
+    def potential(self, th):
+        return 0.5 * float(th @ th)
+
+    def value_grad(self, th):
+        return self.potential(th), th.copy()
+
+    def value_grad_hess(self, th):
+        return self.potential(th), th.copy(), np.eye(self.dim)
 
 
 def bernoulli_system():
@@ -24,7 +30,7 @@ def direct_kl(p, q):
 
 
 def test_quadratic_divergence_is_half_squared_distance(rng):
-    sys = quadratic_system(3)
+    sys = QuadraticSystem(3)
     for _ in range(5):
         t1, t2 = rng.normal(size=3), rng.normal(size=3)
         assert abs(divergence(sys, t1, t2) - 0.5 * np.sum((t1 - t2) ** 2)) < 1e-12

@@ -174,6 +174,52 @@ def test_sweep_point_count_is_bounded(capsys, monkeypatch):
     assert err == [f"error: --range gives more than {bound} points"] * 2
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_non_positive_tol_is_rejected(capsys, monkeypatch, tol):
+    # Rejected before any channel is solved: at --tol=-1 Blahut-Arimoto would
+    # run its whole iteration cap.
+    def solved(*args):
+        raise AssertionError("a channel was solved")
+
+    monkeypatch.setattr(cli, "_compute", solved)
+    monkeypatch.setenv("REVEM_THREADS", "1")
+    assert main(["capacity", "--template", "bsc:0.1", "--method", "ba",
+                 f"--tol={tol}"]) == 2
+    assert main(["sweep", "--template", "bsc", "--range", "0:0.4:0.1",
+                 f"--tol={tol}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --tol must be finite and positive"] * 2
+
+
+def test_sweep_workers_are_capped_at_cpu_count(capsys, monkeypatch):
+    # A fake pool records the worker count asked for and maps serially, so
+    # no process is started.
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["sweep", "--template", "bsc", "--range", "0:0.4:0.1"]
+    for threads, expected in (("5000", [2]), ("1", []), ("", [2])):
+        requested.clear()
+        monkeypatch.setenv("REVEM_THREADS", threads)
+        assert main(args) == 0
+        assert requested == expected
+    assert capsys.readouterr().out.count("\n") == 3 * 6
+
+
 def test_wiretap_and_cq_commands(tmp_path, capsys):
     tensor = np.einsum("zy,yx->xzy", np.array([[0.9, 0.2], [0.1, 0.8]]),
                        np.array([[0.82, 0.25], [0.18, 0.75]]))
@@ -199,6 +245,35 @@ def test_wiretap_and_cq_commands(tmp_path, capsys):
     cap_or = float(capsys.readouterr().out.split("capacity: ")[1].split()[0])
     assert abs(cap_ni - cap_or) < 1e-6
     assert main(["validate", "--kind", "cq", "--in", str(cq_file)]) == 0
+
+
+def test_empty_and_one_dimensional_cq_files_are_rejected(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# n1=0 dim=2\n")
+    scalar = tmp_path / "scalar.txt"
+    scalar.write_text("# n1=2 dim=1\n1 0\n1 0\n")
+    methods = ("noniterative", "iterative", "oracle")
+    for method in methods:
+        assert main(["capacity", "--kind", "cq", "--in", str(empty),
+                     "--method", method]) == 2
+    assert main(["validate", "--kind", "cq", "--in", str(empty)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(methods) + 1
+    assert all(line.startswith("error: ") and "nonempty" in line for line in err)
+
+    # One-dimensional states are a valid channel of capacity zero: validate
+    # and the oracle accept it; the split and the geometry reject it.
+    for method in ("noniterative", "iterative"):
+        assert main(["capacity", "--kind", "cq", "--in", str(scalar),
+                     "--method", method]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") and "dimension at least two" in line
+               for line in err)
+    assert main(["validate", "--kind", "cq", "--in", str(scalar)]) == 0
+    assert main(["capacity", "--kind", "cq", "--in", str(scalar),
+                 "--method", "oracle"]) == 0
+    assert _field(capsys.readouterr().out, "capacity") == 0.0
 
 
 def test_em_method_command(capsys):

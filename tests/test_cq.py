@@ -34,6 +34,22 @@ def test_validation():
         CQChannel(np.array([np.diag([np.nan, 1.0])], dtype=complex))
 
 
+def test_empty_and_one_dimensional_channels_are_rejected():
+    with pytest.raises(InvalidChannelError, match="nonempty"):
+        CQChannel(np.zeros((0, 2, 2), dtype=complex))
+    # Two 1 x 1 states: a valid channel of capacity zero, but neither the
+    # split nor the geometry has an observable to work with.
+    ch = CQChannel(np.ones((2, 1, 1), dtype=complex))
+    with pytest.raises(InvalidChannelError, match="dimension at least two"):
+        split(ch.states)
+    with pytest.raises(InvalidChannelError, match="dimension at least two"):
+        build_problem(ch)
+    with pytest.raises(InvalidChannelError):
+        capacity_cq_noniterative(ch)
+    with pytest.raises(InvalidChannelError):
+        capacity_cq_iterative(ch)
+
+
 def test_gell_mann_and_observable_basis(rng):
     for dim in (2, 3):
         basis = gell_mann_basis(dim)

@@ -34,6 +34,9 @@ def test_validation_and_marginals():
     tensor[1, 0, 1] = np.nan
     with pytest.raises(InvalidChannelError, match="non-finite"):
         WiretapChannel(tensor)
+    for shape in ((0, 2, 3), (2, 0, 3), (2, 3, 0)):
+        with pytest.raises(InvalidChannelError, match="no empty axis"):
+            WiretapChannel(np.zeros(shape))
     ch = degraded_channel(bsc_matrix(0.1), bsc_matrix(0.2))
     assert np.allclose(ch.bob_marginal(), bsc_matrix(0.1))
     assert np.allclose(ch.eve_marginal(),

@@ -23,6 +23,11 @@ Array = np.ndarray
 # support; at the probability-vector tolerance scale of the outcomes.
 NEG_TOL = 1e-9
 
+# capacity_general merges input columns whose entries differ by at most
+# this much; on the scale of split_maximizer's 1e-10 row-rank check, so that
+# columns equal up to rounding do not reach it as a dependent pair.
+DUPLICATE_TOL = 1e-10
+
 # Weight of the uniform distribution mixed into every channel (and, for cq
 # channels, of the maximally mixed state) for the geometry only, so that zero
 # entries keep the potentials finite.
@@ -93,6 +98,12 @@ def kl_divergence(p: Array, q: Array) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
+def _column_neg_entropies(matrix: Array) -> Array:
+    """sum_y W(y|x) log W(y|x) of every column x, with 0 log 0 = 0."""
+    pos = matrix > 0
+    return np.where(pos, matrix * np.log(np.where(pos, matrix, 1.0)), 0.0).sum(axis=0)
+
+
 def mutual_information(matrix: Array, q: Array) -> float:
     """I(q, W) = sum_x q(x) D(W_x || W q) in nats."""
     matrix = np.asarray(matrix, dtype=float)
@@ -115,9 +126,7 @@ def blahut_arimoto(channel: Channel, tol: float = 1e-10,
     """
     mat = channel.matrix
     n1 = channel.n_inputs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(mat > 0, mat * np.log(np.where(mat > 0, mat, 1.0)), 0.0)
-    col_neg_entropy = plogp.sum(axis=0)
+    col_neg_entropy = _column_neg_entropies(mat)
 
     q = np.full(n1, 1.0 / n1)
     gap = np.inf
@@ -145,7 +154,7 @@ def split(matrix: Array) -> Split:
     product c with the last column), and need no ``classical_system`` check.
     """
     f = kernel_basis(matrix[:, -1][None, :])  # (n2, n2 - 1)
-    entropies = np.array([entropy(col) for col in matrix.T])
+    entropies = -_column_neg_entropies(matrix)
     return Split(ClassicalSystem(f), matrix[:, :-1].T @ f,
                  entropies[-1] - entropies[:-1], entropies[-1])
 
@@ -332,15 +341,17 @@ def subset_recursion(n_inputs: int,
 def capacity_general(channel: Channel) -> CapacityOutcome:
     """Non-iterative capacity for general channels (boundary optima included).
 
-    Exact duplicate input columns are merged (the reported distribution puts
-    their mass on the first occurrence); inputs beyond that are never dropped.
+    Input columns within DUPLICATE_TOL of an earlier kept column (max-abs
+    difference) are merged into it: the reported distribution puts their
+    mass on the first occurrence.  Inputs beyond that are never dropped.
     Requires n1 <= n2 after merging.
     """
     mat = channel.matrix
     n1 = channel.n_inputs
+    close = np.abs(mat[:, :, None] - mat[:, None, :]).max(axis=0) <= DUPLICATE_TOL
     keep = []
-    for x in range(n1):
-        if not any(np.array_equal(mat[:, x], mat[:, y]) for y in keep):
+    for x, row in enumerate(close.tolist()):
+        if not any(row[y] for y in keep):
             keep.append(x)
     reduced = Channel(mat[:, keep]) if len(keep) < n1 else channel
     if reduced.n_inputs > reduced.n_outputs:

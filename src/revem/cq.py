@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bregman import quantum_system
+from .bregman import QuantumSystem, quantum_system
 from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome,
                         iterative_outcome, noniterative_outcome,
                         restrict_inputs, subset_recursion)
@@ -133,12 +133,17 @@ def split(states: Array) -> Split:
     """Product split of the geometry of the cq channel with these states;
     the observables of F_b are ``_observable_basis`` of the last state.
     States of dimension one have no observable and raise
-    InvalidChannelError; so does ``build_problem``, through this split."""
+    InvalidChannelError; so does ``build_problem``, through this split.
+
+    F_b needs none of ``quantum_system``'s checks.  The observables are the
+    Gell-Mann basis, which is independent and traceless, shifted by
+    multiples of I, so they stay independent; and Tr(rho_last X_j) = 0 for
+    every j while Tr(rho_last I) = 1, so I is not in their span."""
     if states.shape[1] < 2:
         raise InvalidChannelError("split needs states of dimension at least two")
     obs = _observable_basis(states[-1])
     entropies = np.array([von_neumann_entropy(rho) for rho in states])
-    return Split(quantum_system(obs), np.einsum("jab,iba->ij", obs, states[:-1]).real,
+    return Split(QuantumSystem(obs), np.einsum("jab,iba->ij", obs, states[:-1]).real,
                  entropies[-1] - entropies[:-1], entropies[-1])
 
 

@@ -14,7 +14,10 @@ class NumericalError(RevemError):
 
 
 class InfeasibleSystemError(NumericalError):
-    """least_norm_solve target is not in the numerical column space."""
+    """least_norm_solve target is not in the numerical column space.
+
+    ``singular_values`` holds the singular values of the system matrix.
+    """
 
 
 class ImageMembershipError(RevemError):

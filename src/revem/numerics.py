@@ -161,6 +161,12 @@ def minimize_fgh(
     return Minimizer(x, float(f), gnorm, iterations, gnorm <= grad_tol)
 
 
+def _rank(svals: np.ndarray) -> int:
+    """Numerical rank from descending singular values: those above
+    DEFAULT_RANK_TOL times the largest."""
+    return int(np.count_nonzero(svals > DEFAULT_RANK_TOL * svals[0])) if svals.size else 0
+
+
 def kernel_basis(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of ``mat`` as a q x r matrix.
 
@@ -172,29 +178,54 @@ def kernel_basis(mat: np.ndarray) -> np.ndarray:
     if mat.shape[0] == 0 or q == 0:
         return np.eye(q)
     _, svals, vt = np.linalg.svd(mat)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > DEFAULT_RANK_TOL * smax)) if smax > 0 else 0
-    return vt[rank:].T.copy()
+    return vt[_rank(svals):].T.copy()
 
 
-def least_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of mat @ x = rhs via the pseudo-inverse that
-    drops singular values below DEFAULT_RANK_TOL times the largest.
+@dataclass
+class LeastNorm:
+    """One full SVD of a p x q matrix and what is read from it: ``point``,
+    the least-norm solution of mat @ x = rhs; all min(p, q)
+    ``singular_values``, descending; an orthonormal null-space basis
+    ``kernel`` (q x r) and the pseudo-inverse ``pinv`` (q x p), whose
+    transpose is the pseudo-inverse of mat.T.  ``kernel`` and ``pinv`` keep
+    the singular values above DEFAULT_RANK_TOL times the largest."""
+
+    point: np.ndarray
+    singular_values: np.ndarray
+    kernel: np.ndarray
+    pinv: np.ndarray
+
+
+def _require_consistent(residual: float, rhs: np.ndarray, svals: np.ndarray) -> None:
+    """Raise InfeasibleSystemError, carrying the system matrix's singular
+    values ``svals``, when ``residual`` exceeds 1e-8 * (1 + |rhs|): rhs is
+    not in the numerical column space."""
+    if residual > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
+        err = InfeasibleSystemError(
+            f"right-hand side outside column space (residual {residual:.3e})")
+        err.singular_values = svals
+        raise err
+
+
+def least_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> LeastNorm:
+    """Minimum-norm solution x = pinv @ rhs of mat @ x = rhs, as a
+    ``LeastNorm`` read from one full SVD of ``mat``.  The pseudo-inverse
+    drops singular values at or below DEFAULT_RANK_TOL times the largest,
+    as np.linalg.pinv(rcond=DEFAULT_RANK_TOL) does.
 
     Raises InfeasibleSystemError when the residual exceeds 1e-8 * (1 + |rhs|),
-    i.e. when rhs is not in the numerical column space.
+    i.e. when rhs is not in the numerical column space; the error carries
+    ``mat``'s ``singular_values``, so a caller can still tell a
+    rank-deficient matrix from an inconsistent right-hand side.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    if mat.shape[1] == 0:
-        x = np.zeros(0)
-    else:
-        x = np.linalg.pinv(mat, rcond=DEFAULT_RANK_TOL) @ rhs
-    residual = float(np.linalg.norm(mat @ x - rhs)) if mat.size else float(np.linalg.norm(rhs))
-    if residual > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
-        raise InfeasibleSystemError(
-            f"right-hand side outside column space (residual {residual:.3e})")
-    return x
+    u, svals, vt = np.linalg.svd(mat)
+    rank = _rank(svals)
+    pinv = vt[:rank].T @ ((1.0 / svals[:rank])[:, None] * u[:, :rank].T)
+    x = pinv @ rhs
+    _require_consistent(float(np.linalg.norm(mat @ x - rhs)), rhs, svals)
+    return LeastNorm(x, svals, vt[rank:].T.copy(), pinv)
 
 
 def maximize_on_unit_interval(value: Callable[[float], float],

@@ -27,11 +27,12 @@ import numpy as np
 
 from .bregman import BregmanSystem, ClassicalSystem, divergence, natural_param
 from .errors import (ConditionViolationError, DegenerateChannelError,
-                     ImageMembershipError, InvalidChannelError, ProjectionError,
-                     RevemError)
+                     ImageMembershipError, InfeasibleSystemError,
+                     InvalidChannelError, ProjectionError, RevemError)
 from .families import (ExponentialSubfamily, MixtureSubfamily, e_projection,
                        m_projection)
-from .numerics import _spd_solve, kernel_basis, least_norm_solve, minimize_fgh
+from .numerics import (_require_consistent, _spd_solve, least_norm_solve,
+                       minimize_fgh)
 
 Array = np.ndarray
 
@@ -580,47 +581,60 @@ def _polish_intersection(p: ReverseEmProblem, theta_c: Array) -> Tuple[Array, fl
     return x, float(rnorm), jac
 
 
-def minimize_split_potential(sys_b: BregmanSystem, mat: Array, rhs: Array) -> Array:
-    """Minimizer of the split potential F_b over {theta_b : mat @ theta_b = rhs}.
-
-    The least-norm solution plus a convex minimization over the kernel of
-    ``mat``; this single minimization is the whole non-iterative method.
-    Raises InfeasibleSystemError when rhs is outside the column space.
-    """
-    theta_b0 = least_norm_solve(mat, rhs)
-    kernel = kernel_basis(mat)
-    if kernel.shape[1] == 0:
-        return theta_b0
-
-    def fgh(te):
-        f, g, h = sys_b.value_grad_hess(theta_b0 + kernel @ te)
-        return f, kernel.T @ g, kernel.T @ h @ kernel
-
-    res = minimize_fgh(fgh, np.zeros(kernel.shape[1]))
-    if not res.converged:
-        raise ProjectionError("split-potential minimization stalled")
-    return theta_b0 + kernel @ res.point
-
-
-def split_maximizer(split: Split) -> SplitMaximizer:
-    """The paper's non-iterative formula, for every channel kind.
-
-    Minimizes F_b over {moments @ theta_b = dual_offset}, solves
-    moments^T eta_a = grad F_b(theta_b_bar) for the input weights and takes
-    F_b(theta_b_bar) - H_last as the candidate value.  Raises
-    DegenerateChannelError when ``moments`` is row-rank deficient: the
-    inputs are linearly dependent, or outnumber the output dimensions.
-    """
-    if np.linalg.matrix_rank(split.moments, tol=1e-10) < split.moments.shape[0]:
+def _require_row_rank(svals: Array, k: int) -> None:
+    """Raise DegenerateChannelError unless all k singular values of the
+    k-row moment matrix exceed 1e-10."""
+    if svals.size < k or not np.all(svals > 1e-10):
         raise DegenerateChannelError(
             "moment matrix is row-rank deficient (dependent inputs, or more "
             "inputs than output dimensions)")
-    theta_b = minimize_split_potential(split.sys_b, split.moments, split.dual_offset)
+
+
+def split_maximizer(split: Split) -> SplitMaximizer:
+    """The paper's non-iterative formula, for every channel kind: one convex
+    minimization, read from one SVD of the k x m moment matrix M.
+
+    * Raises DegenerateChannelError unless M has full row rank, every
+      singular value above 1e-10 (absolute): the inputs are linearly
+      dependent, or outnumber the output dimensions.
+    * Minimizes F_b over {M theta_b = dual_offset}: the least-norm point
+      plus a damped-Newton minimization over the kernel of M, both cut at
+      DEFAULT_RANK_TOL times the largest singular value.
+    * Solves M^T eta_a = grad F_b(theta_b_bar) for the input weights with
+      the same pseudo-inverse, and takes F_b(theta_b_bar) - H_last as the
+      candidate value.
+
+    Either solve raises InfeasibleSystemError when its residual exceeds
+    1e-8 * (1 + |rhs|).
+    """
+    mat = split.moments
+    k = mat.shape[0]
+    # Dependent or wide inputs are reported as such even when they also
+    # make the first solve infeasible.
+    try:
+        ln = least_norm_solve(mat, split.dual_offset)
+    except InfeasibleSystemError as err:
+        _require_row_rank(err.singular_values, k)
+        raise
+    _require_row_rank(ln.singular_values, k)
+    theta_b0, kernel = ln.point, ln.kernel
+    theta_b = theta_b0
+    if kernel.shape[1]:
+        def fgh(te):
+            f, g, h = split.sys_b.value_grad_hess(theta_b0 + kernel @ te)
+            return f, kernel.T @ g, kernel.T @ h @ kernel
+
+        res = minimize_fgh(fgh, np.zeros(kernel.shape[1]))
+        if not res.converged:
+            raise ProjectionError("split-potential minimization stalled")
+        theta_b = theta_b0 + kernel @ res.point
     g_b = split.sys_b.gradient(theta_b)
-    eta_a = least_norm_solve(split.moments.T, g_b)
+    eta_a = ln.pinv.T @ g_b
+    residual = float(np.linalg.norm(mat.T @ eta_a - g_b))
+    _require_consistent(residual, g_b, ln.singular_values)
     return SplitMaximizer(theta_b, np.append(eta_a, 1.0 - eta_a.sum()),
                           split.sys_b.potential(theta_b) - split.last_entropy,
-                          float(np.linalg.norm(split.moments.T @ eta_a - g_b)))
+                          residual)
 
 
 def non_iterative(p: ReverseEmProblem) -> NonIterativeResult:

@@ -50,7 +50,7 @@ def test_blahut_arimoto_analytic_anchors():
 
 def test_dual_functions_patterns(rng):
     # The one dual construction: the orthonormal complement of W_last, which
-    # also handles zero entries of W_last (eye(4)).
+    # also handles zero entries of W_last (eye(4)), and the entropies.
     for channel in [Channel(np.eye(2)), Channel(np.eye(4)), chan1(0.1),
                     random_channel(rng, 3, 5), random_channel(rng, 4, 4)]:
         mat = channel.matrix
@@ -64,6 +64,10 @@ def test_dual_functions_patterns(rng):
         # f's span has no constants
         aug = np.hstack([f, np.ones((n2, 1))])
         assert np.linalg.matrix_rank(aug, tol=1e-8) == n2
+        # the vectorized column entropies, against the per-column loop
+        h = np.array([entropy(col) for col in mat.T])
+        assert abs(sp.last_entropy - h[-1]) <= 1e-14
+        assert np.max(np.abs(sp.dual_offset - (h[-1] - h[:-1]))) <= 1e-14
 
 
 def test_build_problem_structure(rng):
@@ -160,6 +164,28 @@ def test_capacity_general_edge_cases(rng):
     assert out.input_distribution[2] == 0.0
     with pytest.raises(InvalidChannelError):
         capacity_general(random_channel(rng, 4, 2))
+
+
+def test_capacity_general_merges_near_duplicate_columns(rng):
+    # A copy of one column, moved by at most 10^-U(11, 16) within the
+    # simplex, is merged into whichever of the two comes first; the result
+    # is that of the channel with that merge made explicitly.
+    for _ in range(20):
+        n_in = int(rng.integers(2, 5))
+        base = random_channel(rng, n_in, n_in + int(rng.integers(1, 3))).matrix
+        src = int(rng.integers(n_in))
+        shift = np.zeros(base.shape[0])
+        shift[rng.choice(base.shape[0], 2, replace=False)] = [1.0, -1.0]
+        copy = base[:, src] + 10.0 ** -rng.uniform(11, 16) * shift
+        pos = int(rng.integers(n_in + 1))
+        mat = np.insert(base, pos, copy, axis=1)
+        later = max(pos, src + (src >= pos))
+        out = capacity_general(Channel(mat))
+        merged = capacity_general(Channel(np.delete(mat, later, axis=1)))
+        assert out.capacity == merged.capacity
+        assert out.input_distribution[later] == 0.0
+        assert np.array_equal(np.delete(out.input_distribution, later),
+                              merged.input_distribution)
 
 
 def test_capacity_iterative_anchors():

@@ -8,7 +8,7 @@ from revem.channel_io import (ChannelFormatError, format_classical, format_cq,
                               parse_wiretap, template)
 from revem import cli
 from revem.cli import main
-from revem.classical import Channel
+from revem.classical import Channel, capacity_general
 from revem.cq import CQChannel, _regularize
 from revem.wiretap import WiretapChannel
 
@@ -158,6 +158,22 @@ def test_sweep_deterministic(tmp_path):
     assert len(lines) == 6
     assert all(line.endswith("ok") for line in lines[1:])
     assert all(line.split(",")[6] == "1111" for line in lines[1:])
+
+
+def test_chan1_near_duplicate_columns_on_the_default_route(capsys, monkeypatch):
+    # At t = 0.85 inputs 1, 2 and 4 differ by the rounding of 0.9 - 0.85
+    # (4.2e-17); they are merged, and the value is that of the channel with
+    # the merge made explicitly.
+    merged = capacity_general(Channel(template("chan1:0.85").matrix[:, [0, 2]]))
+    assert main(["capacity", "--template", "chan1:0.85"]) == 0
+    out = capsys.readouterr().out
+    assert f"capacity: {cli._fmt(merged.capacity)} nats" in out
+    monkeypatch.setenv("REVEM_THREADS", "1")
+    assert main(["sweep", "--template", "chan1", "--range", "0.849:0.851:0.0005"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.849", "0.8495", "0.85", "0.8505", "0.851"]
+    assert all(row[-1] == "ok" for row in rows)
+    assert rows[2][1] == cli._fmt(merged.capacity)
 
 
 def test_sweep_point_count_is_bounded(capsys, monkeypatch):

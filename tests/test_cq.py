@@ -51,19 +51,28 @@ def test_empty_and_one_dimensional_channels_are_rejected():
 
 
 def test_gell_mann_and_observable_basis(rng):
+    # split builds F_b without quantum_system's checks; the observables keep
+    # the two properties those checks asserted, independence and a span
+    # without the identity, with room to spare over their 1e-10.  The last
+    # state, whose observables they are, is random or rank one.
     for dim in (2, 3):
         basis = gell_mann_basis(dim)
         assert basis.shape == (dim * dim - 1, dim, dim)
         for g in basis:
             assert np.max(np.abs(g - g.conj().T)) < 1e-14
             assert abs(np.trace(g)) < 1e-14
-        ref = random_density(rng, dim)
-        obs = _observable_basis(ref)
-        for x in obs:
-            assert abs(np.trace(x @ ref)) < 1e-12
-        stacked = np.concatenate([obs.real.reshape(len(obs), -1),
-                                  obs.imag.reshape(len(obs), -1)], axis=1)
-        assert np.linalg.matrix_rank(stacked, tol=1e-10) == dim * dim - 1
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for ref in (random_density(rng, dim), np.outer(v, v.conj()) / (v.conj() @ v).real):
+            states = CQChannel(np.array([random_density(rng, dim), ref])).states
+            obs = split(states).sys_b.observables
+            assert np.max(np.abs(obs - _observable_basis(ref))) == 0.0
+            for x in obs:
+                assert abs(np.trace(x @ ref)) < 1e-12
+            stacked = np.concatenate([obs.real.reshape(len(obs), -1),
+                                      obs.imag.reshape(len(obs), -1)], axis=1)
+            eye = np.concatenate([np.eye(dim).reshape(-1), np.zeros(dim * dim)])
+            assert np.linalg.svd(stacked, compute_uv=False)[-1] > 1e-3
+            assert np.linalg.svd(np.vstack([stacked, eye]), compute_uv=False)[-1] > 1e-3
 
 
 def test_holevo_anchors(rng):

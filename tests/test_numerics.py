@@ -58,8 +58,8 @@ def test_one_dimensional_channel_objective_matches_golden_section():
     # Restricting the t=0.3 example channel to its first three inputs leaves
     # one free variable in the output-side minimization.
     sp = classical.split(chan1(0.3).matrix[:, :3])
-    theta_b = least_norm_solve(sp.moments, sp.dual_offset)
-    kernel = kernel_basis(sp.moments)
+    ln = least_norm_solve(sp.moments, sp.dual_offset)
+    theta_b, kernel = ln.point, ln.kernel
     assert kernel.shape == (3, 1)
     sys_eb = sp.sys_b
 
@@ -101,17 +101,36 @@ def test_kernel_basis_cases(rng):
 
 def test_least_norm_solve(rng):
     b = rng.normal(size=4)
-    assert np.allclose(least_norm_solve(np.eye(4), b), b)
-    assert np.allclose(least_norm_solve(np.array([[1.0, 1.0]]), np.array([2.0])),
+    assert np.allclose(least_norm_solve(np.eye(4), b).point, b)
+    assert np.allclose(least_norm_solve(np.array([[1.0, 1.0]]), np.array([2.0])).point,
                        np.array([1.0, 1.0]))
     a = rng.normal(size=(3, 5))
-    x = least_norm_solve(a, rng.normal(size=3))
+    x = least_norm_solve(a, rng.normal(size=3)).point
     assert np.linalg.norm(a @ x - a @ x) < 1e-12
     for _ in range(10):
         a = rng.normal(size=(3, 5))
         b = rng.normal(size=3)
-        x = least_norm_solve(a, b)
+        x = least_norm_solve(a, b).point
         assert np.linalg.norm(a @ x - b) < 1e-10
+
+
+def test_least_norm_solve_cuts_where_pinv_and_kernel_basis_cut(rng):
+    # Singular values (2, 1e-3, 5e-11): the last is below DEFAULT_RANK_TOL
+    # times the largest, so the point, pseudo-inverse and kernel drop it as
+    # np.linalg.pinv(rcond=1e-10) and kernel_basis do.
+    u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    v = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    svals = np.array([2.0, 1e-3, 5e-11])
+    mat = u @ np.diag(svals) @ v[:, :3].T
+    rhs = u[:, :2] @ rng.normal(size=2)
+    ln = least_norm_solve(mat, rhs)
+    ref = np.linalg.pinv(mat, rcond=1e-10)
+    assert np.max(np.abs(ln.singular_values - svals)) < 1e-12
+    assert np.max(np.abs(ln.pinv - ref)) < 1e-9
+    assert np.max(np.abs(ln.point - ref @ rhs)) < 1e-9
+    kernel = kernel_basis(mat)
+    assert ln.kernel.shape == kernel.shape == (5, 3)
+    assert np.max(np.abs(ln.kernel @ ln.kernel.T - kernel @ kernel.T)) < 1e-12
 
 
 def test_least_norm_infeasible():

@@ -7,9 +7,12 @@ from revem import cq, wiretap
 from revem.bregman import classical_system, divergence, natural_param
 from revem.classical import (NEG_TOL, Channel, blahut_arimoto, build_problem,
                              capacity_special, mutual_information, split)
-from revem.errors import ConditionViolationError, ImageMembershipError
+from revem.errors import (ConditionViolationError, DegenerateChannelError,
+                          ImageMembershipError, InfeasibleSystemError,
+                          ProjectionError, RevemError)
 from revem.families import (ExponentialSubfamily, MixtureSubfamily,
                             e_projection, m_projection)
+from revem.numerics import minimize_fgh
 
 
 def bsc_problem(p=0.1):
@@ -424,3 +427,115 @@ def test_decode_input_is_input_marginal(kind, rng):
         theta_a = rng.normal(size=geo.rem.k)
         q = geo.decode_input(theta_a)
         assert np.max(np.abs(q - _input_marginal(kind, geo, theta_a))) <= 1e-12
+
+
+def _four_factorization_split_maximizer(sp):
+    """The non-iterative formula as it read with one factorization per
+    step: matrix_rank for the row-rank check, pinv for the least-norm
+    point, a full SVD for the kernel and pinv of the transpose for the
+    weights.  Returns (weights, value, residual)."""
+    mat, rhs = sp.moments, sp.dual_offset
+    if np.linalg.matrix_rank(mat, tol=1e-10) < mat.shape[0]:
+        raise DegenerateChannelError("row-rank deficient")
+    theta = np.linalg.pinv(mat, rcond=1e-10) @ rhs
+    if np.linalg.norm(mat @ theta - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+        raise InfeasibleSystemError("first solve")
+    _, svals, vt = np.linalg.svd(mat)
+    kernel = vt[int(np.sum(svals > 1e-10 * svals[0])):].T
+    if kernel.shape[1]:
+        def fgh(te):
+            f, g, h = sp.sys_b.value_grad_hess(theta + kernel @ te)
+            return f, kernel.T @ g, kernel.T @ h @ kernel
+
+        res = minimize_fgh(fgh, np.zeros(kernel.shape[1]))
+        if not res.converged:
+            raise ProjectionError("stalled")
+        theta = theta + kernel @ res.point
+    g_b = sp.sys_b.gradient(theta)
+    eta = np.linalg.pinv(mat.T, rcond=1e-10) @ g_b
+    residual = float(np.linalg.norm(mat.T @ eta - g_b))
+    if residual > 1e-8 * (1.0 + np.linalg.norm(g_b)):
+        raise InfeasibleSystemError("second solve")
+    return (np.append(eta, 1.0 - eta.sum()),
+            sp.sys_b.potential(theta) - sp.last_entropy, residual)
+
+
+def _random_states(rng, n, dim, rank_one=False):
+    a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    if rank_one:
+        a[:, :, 1:] = 0.0
+    states = a @ a.conj().transpose(0, 2, 1)
+    return states / np.trace(states, axis1=1, axis2=2).real[:, None, None]
+
+
+def _seeded_splits(rng):
+    """Classical and cq splits: tall and square (empty kernel) moment
+    matrices, with interior and boundary (negative-weight) optima."""
+    splits = [split(chan1(0.76).matrix), split(chan1(0.3).matrix)]
+    for _ in range(8):
+        n_in = int(rng.integers(2, 5))
+        splits.append(split(random_channel(rng, n_in, n_in + 3).matrix))
+        splits.append(split(random_channel(rng, n_in, n_in).matrix))
+        cols = rng.dirichlet(np.full(n_in + 2, 0.3), size=n_in + 1).T
+        splits.append(split((cols + 1e-3) / (1.0 + (n_in + 2) * 1e-3)))
+    for dim, n_in in ((2, 2), (2, 3), (3, 3), (3, 5)):
+        splits.append(cq.split(cq._regularize(_random_states(rng, n_in, dim), 1e-6)))
+    splits.append(cq.split(_random_states(rng, 4, 2)))
+    splits.append(cq.split(_random_states(rng, 3, 3, rank_one=True)))
+    return splits
+
+
+def test_split_maximizer_factors_once(rng, monkeypatch):
+    calls = {"svd": 0, "pinv": 0, "matrix_rank": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for sp in _seeded_splits(rng):
+        calls.update(svd=0, pinv=0, matrix_rank=0)
+        rem.split_maximizer(sp)
+        assert calls == {"svd": 1, "pinv": 0, "matrix_rank": 0}
+
+
+def test_split_maximizer_matches_four_factorization_reference(rng):
+    # Seen (square, boundary) pairs: every combination must occur.
+    seen = set()
+    for sp in _seeded_splits(rng):
+        weights, value, residual = _four_factorization_split_maximizer(sp)
+        sol = rem.split_maximizer(sp)
+        assert abs(sol.value - value) <= 1e-12
+        assert np.max(np.abs(sol.weights - weights)) <= 1e-12
+        assert abs(sol.residual - residual) <= 1e-12
+        seen.add((sp.moments.shape[0] == sp.moments.shape[1],
+                  bool(np.any(weights < -NEG_TOL))))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_split_maximizer_raises_the_reference_errors(rng):
+    base = random_channel(rng, 2, 4).matrix
+    states = _random_states(rng, 2, 2)
+    # A copy of a column moved by 1.5e-10: the smallest singular value of
+    # its moments lies above the relative pinv cut, at or below 1e-10.
+    near = split(np.column_stack([base[:, 0], base[:, 0] + [1.5e-10, -1.5e-10, 0.0, 0.0],
+                                  base[:, 1]]))
+    svals = np.linalg.svd(near.moments, compute_uv=False)
+    assert 1e-10 * svals[0] < svals[-1] <= 1e-10
+    degenerate = [
+        near,
+        split(np.hstack([base, base.mean(axis=1, keepdims=True)])),  # mixture column
+        split(np.hstack([base, base[:, :1]])),  # exact duplicate
+        split(random_channel(rng, 4, 2).matrix),  # wide
+        split(random_channel(rng, 3, 1).matrix),  # one output
+        cq.split(np.vstack([states, states.mean(axis=0, keepdims=True)])),
+        cq.split(_random_states(rng, 5, 2)),  # more states than dim^2
+    ]
+    for sp in degenerate:
+        with pytest.raises(RevemError) as expected:
+            _four_factorization_split_maximizer(sp)
+        with pytest.raises(RevemError) as got:
+            rem.split_maximizer(sp)
+        assert type(got.value) is type(expected.value) is DegenerateChannelError

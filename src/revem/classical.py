@@ -88,60 +88,54 @@ def entropy(dist: Array) -> float:
     return float(-np.sum(pos * np.log(pos)))
 
 
-def kl_divergence(p: Array, q: Array) -> float:
-    """KL divergence D(p || q) in nats; infinite on support violation."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        return np.inf
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
 def _column_neg_entropies(matrix: Array) -> Array:
     """sum_y W(y|x) log W(y|x) of every column x, with 0 log 0 = 0."""
     pos = matrix > 0
     return np.where(pos, matrix * np.log(np.where(pos, matrix, 1.0)), 0.0).sum(axis=0)
 
 
+def _divergences(matrix: Array, neg_entropies: Array, q: Array) -> Array:
+    """s_x(q) = D(W_x || W q) in nats of every input x, given
+    ``_column_neg_entropies(matrix)``; an output that W q misses counts at
+    log 1e-300.  q @ s(q) = I(q, W) <= capacity <= max_x s_x(q)."""
+    return neg_entropies - matrix.T @ np.log(np.maximum(matrix @ q, 1e-300))
+
+
 def mutual_information(matrix: Array, q: Array) -> float:
-    """I(q, W) = sum_x q(x) D(W_x || W q) in nats."""
+    """I(q, W) = sum_x q(x) D(W_x || W q) in nats, over the inputs with
+    q(x) > 0."""
     matrix = np.asarray(matrix, dtype=float)
     q = np.asarray(q, dtype=float)
-    out = matrix @ q
-    total = 0.0
-    for x in range(matrix.shape[1]):
-        if q[x] > 0:
-            total += q[x] * kl_divergence(matrix[:, x], out)
-    return float(total)
+    s = _divergences(matrix, _column_neg_entropies(matrix), q)
+    used = q > 0
+    return float(q[used] @ s[used])
 
 
 def blahut_arimoto(channel: Channel, tol: float = 1e-10,
                    max_iter: int = 5_000_000) -> CapacityOutcome:
     """Classical alternating-maximization capacity solver.
 
-    Stops when the max-min bound gap (max_x D(W_x||Wq) - I(q,W)) drops
-    below ``tol``; the returned capacity I(q,W) then underestimates the true
-    capacity by at most that gap.
+    Updates q_x by exp(s_x(q)) (``_divergences``), and stops when the
+    max-min gap max_x s_x(q) - I(q, W) drops below ``tol``; the returned
+    capacity I(q, W) then underestimates the true capacity by at most that
+    gap.
     """
     mat = channel.matrix
     n1 = channel.n_inputs
-    col_neg_entropy = _column_neg_entropies(mat)
+    neg_entropies = _column_neg_entropies(mat)
 
     q = np.full(n1, 1.0 / n1)
     gap = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        out = mat @ q
-        log_out = np.log(np.maximum(out, 1e-300))
-        d_x = col_neg_entropy - mat.T @ log_out
-        lower = float(q @ d_x)
-        gap = float(np.max(d_x) - lower)
+        s = _divergences(mat, neg_entropies, q)
+        lower = float(q @ s)
+        gap = float(np.max(s) - lower)
         if gap < tol:
             break
-        q = q * np.exp(d_x - np.max(d_x))
+        q = q * np.exp(s - np.max(s))
         q = q / q.sum()
-    capacity = float(q @ (col_neg_entropy - mat.T @ np.log(np.maximum(mat @ q, 1e-300))))
+    capacity = float(q @ _divergences(mat, neg_entropies, q))
     return CapacityOutcome(capacity, q, (), "ba", iterations=iterations,
                            residual=gap, converged=gap < tol)
 
@@ -246,8 +240,9 @@ def restrict_inputs(n_inputs: int, input_subset: Optional[Sequence[int]]
     """The checked input subset of a special-case solve (all inputs when
     None) and, for a single input, its point-mass outcome of capacity 0."""
     subset = tuple(range(n_inputs) if input_subset is None else map(int, input_subset))
-    if len(set(subset)) != len(subset) or any(x < 0 or x >= n_inputs for x in subset):
-        raise InvalidChannelError("input subset must be distinct valid indices")
+    if (not subset or len(set(subset)) != len(subset)
+            or any(x < 0 or x >= n_inputs for x in subset)):
+        raise InvalidChannelError("input subset must be nonempty distinct valid indices")
     if len(subset) != 1:
         return subset, None
     return subset, CapacityOutcome(0.0, np.eye(n_inputs)[subset[0]], (), "noniterative")

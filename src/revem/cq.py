@@ -59,44 +59,37 @@ class CQChannel:
         return self.states.shape[1]
 
 
-def _spectral_entropy(evals: Array) -> Array:
-    """-sum e log e over the last axis of ascending spectra, ignoring
-    eigenvalues at or below EIGEN_FLOOR times the largest."""
+def _state_entropies(states: Array) -> Array:
+    """S(rho) = -Tr rho log rho in nats of every matrix of the stack, from
+    one stacked eigvalsh, ignoring eigenvalues at or below EIGEN_FLOOR
+    times the largest."""
+    evals = np.linalg.eigvalsh(states)
     keep = evals > EIGEN_FLOOR * np.maximum(evals[..., -1:], 0.0)
     return -np.sum(np.where(keep, evals * np.log(np.where(keep, evals, 1.0)), 0.0),
                    axis=-1)
 
 
-def von_neumann_entropy(rho: Array) -> float:
-    """-Tr rho log rho in nats, ignoring the numerically zero spectrum."""
-    return float(_spectral_entropy(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
-
-
-def _tr_rho_log_sigma(rho: Array, sigma: Array) -> float:
-    """Tr rho log sigma on sigma's support; rejects weight above 1e-10 outside it."""
-    evals, evecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
-    floor = EIGEN_FLOOR * max(float(evals[-1]), 0.0)
-    keep = evals > max(floor, 0.0)
-    weights = np.einsum("ip,ij,jp->p", evecs.conj(), rho, evecs).real
-    outside = float(np.sum(weights[~keep]))
-    if outside > 1e-10:
-        raise DomainError(
-            f"state has weight {outside:.3e} outside the support of the reference")
-    return float(np.sum(weights[keep] * np.log(evals[keep])))
+def _divergences(states: Array, entropies: Array, p: Array) -> Array:
+    """s_j(p) = D(rho_j || sigma) in nats of every input j, sigma = sum p rho,
+    given ``_state_entropies(states)``, from one eigh of sigma.  Each
+    state's weight outside sigma's numerical support (eigenvalues above
+    EIGEN_FLOOR times the largest) is dropped: for p_j > 0 it exists only
+    through rounding and the floor.  p @ s(p) is the Holevo quantity."""
+    evals, evecs = np.linalg.eigh(np.einsum("j,jab->ab", p, states))
+    keep = evals > EIGEN_FLOOR * max(float(evals[-1]), 0.0)
+    weights = np.einsum("ap,jab,bp->jp", evecs.conj(), states, evecs).real
+    return -entropies - weights[:, keep] @ np.log(evals[keep])
 
 
 def holevo(p: Array, channel: CQChannel) -> float:
-    """Holevo quantity sum_j p_j D(W_j || sum p W) in nats."""
+    """Holevo quantity sum_j p_j D(rho_j || sum p rho) in nats, over the
+    inputs with p_j > 0 (``_divergences``)."""
     p = np.asarray(p, dtype=float)
     if p.shape != (channel.n_inputs,) or np.any(p < -1e-12) or abs(p.sum() - 1) > 1e-9:
         raise DomainError("p must be a probability vector over the inputs")
-    mix = np.einsum("j,jab->ab", p, channel.states)
-    total = 0.0
-    for j in range(channel.n_inputs):
-        if p[j] > 0:
-            rho = channel.states[j]
-            total += p[j] * (-von_neumann_entropy(rho) - _tr_rho_log_sigma(rho, mix))
-    return float(total)
+    s = _divergences(channel.states, _state_entropies(channel.states), p)
+    used = p > 0
+    return float(p[used] @ s[used])
 
 
 def gell_mann_basis(dim: int) -> Array:
@@ -142,7 +135,7 @@ def split(states: Array) -> Split:
     if states.shape[1] < 2:
         raise InvalidChannelError("split needs states of dimension at least two")
     obs = _observable_basis(states[-1])
-    entropies = np.array([von_neumann_entropy(rho) for rho in states])
+    entropies = _state_entropies(states)
     return Split(QuantumSystem(obs), np.einsum("jab,iba->ij", obs, states[:-1]).real,
                  entropies[-1] - entropies[:-1], entropies[-1])
 
@@ -218,10 +211,10 @@ def capacity_cq_noniterative(channel: CQChannel) -> CapacityOutcome:
 
 def holevo_batch(p: Array, channel: CQChannel) -> Array:
     """Holevo quantity at each row of ``p``, as S(sum_j p_j rho_j) -
-    sum_j p_j S(rho_j) with one stacked eigenvalue decomposition."""
+    sum_j p_j S(rho_j) with one stacked eigvalsh of the mixtures: the
+    entropy form, independent of ``holevo``'s divergence vector."""
     mixes = np.einsum("gj,jab->gab", p, channel.states)
-    entropies = np.array([von_neumann_entropy(rho) for rho in channel.states])
-    return _spectral_entropy(np.linalg.eigvalsh(mixes)) - p @ entropies
+    return _state_entropies(mixes) - p @ _state_entropies(channel.states)
 
 
 def holevo_oracle(channel: CQChannel) -> float:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from revem.classical import Channel
+
+# Every run draws the same examples, and none writes an example database.
+settings.register_profile("revem", derandomize=True, database=None)
+settings.load_profile("revem")
 
 
 def chan1(t: float) -> Channel:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import chan1, random_channel
+from revem import classical
 from revem import reverse_em as rem
 from revem.bregman import natural_param
 from revem.classical import (Channel, blahut_arimoto, build_problem,
                              capacity_general, capacity_iterative,
-                             capacity_special, entropy, kl_divergence,
-                             mutual_information, split, subset_recursion)
+                             capacity_special, entropy, mutual_information,
+                             split, subset_recursion)
 from revem.errors import DegenerateChannelError, InvalidChannelError
 
 
@@ -32,8 +33,6 @@ def test_channel_validation():
 
 def test_information_helpers():
     assert entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(np.log(2))
-    assert kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(np.log(2))
-    assert kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == np.inf
     w = bsc(0.1).matrix
     assert mutual_information(w, np.array([0.5, 0.5])) == pytest.approx(bsc_capacity(0.1))
 
@@ -46,6 +45,56 @@ def test_blahut_arimoto_analytic_anchors():
         assert abs(blahut_arimoto(Channel(np.eye(n))).capacity - np.log(n)) < 1e-10
     useless = Channel(np.tile(np.array([[0.2], [0.8]]), (1, 3)))
     assert abs(blahut_arimoto(useless).capacity) < 1e-12
+
+
+def reference_blahut_arimoto(channel, tol=1e-10, max_iter=5_000_000):
+    """Blahut-Arimoto as written before the divergence vector had one
+    function: d_x inline in the loop and again for the final value."""
+    mat = channel.matrix
+    n1 = channel.n_inputs
+    pos = mat > 0
+    col_neg_entropy = np.where(pos, mat * np.log(np.where(pos, mat, 1.0)), 0.0).sum(axis=0)
+    q = np.full(n1, 1.0 / n1)
+    gap = np.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        out = mat @ q
+        log_out = np.log(np.maximum(out, 1e-300))
+        d_x = col_neg_entropy - mat.T @ log_out
+        lower = float(q @ d_x)
+        gap = float(np.max(d_x) - lower)
+        if gap < tol:
+            break
+        q = q * np.exp(d_x - np.max(d_x))
+        q = q / q.sum()
+    capacity = float(q @ (col_neg_entropy - mat.T @ np.log(np.maximum(mat @ q, 1e-300))))
+    return capacity, q, gap, iterations
+
+
+def test_blahut_arimoto_bit_identical_and_hoisted(rng, monkeypatch):
+    # The chan1 sweep of criterion 1, seeded channels with zero entries,
+    # and runs cut by max_iter (whose final value follows an update).
+    calls = []
+    counted = classical._column_neg_entropies
+    monkeypatch.setattr(classical, "_column_neg_entropies",
+                        lambda mat: calls.append(1) or counted(mat))
+    runs = [(chan1(t), {}) for t in np.round(np.arange(0.0, 0.7601, 0.02), 10)]
+    for _ in range(10):
+        mat = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)),
+                             min_mass=0.0).matrix
+        mat[rng.random(mat.shape) < 0.2] = 0.0
+        mat[0] += 1e-3
+        runs.append((Channel(mat / mat.sum(axis=0)), {}))
+    runs += [(chan1(0.3), {"max_iter": 7}), (Channel(np.eye(3)), {"tol": 1e-14})]
+    for channel, kwargs in runs:
+        calls.clear()
+        out = blahut_arimoto(channel, **kwargs)
+        assert len(calls) == 1
+        capacity, q, gap, iterations = reference_blahut_arimoto(channel, **kwargs)
+        assert out.capacity == capacity
+        assert np.array_equal(out.input_distribution, q)
+        assert out.residual == gap
+        assert out.iterations == iterations
 
 
 def test_dual_functions_patterns(rng):
@@ -139,6 +188,11 @@ def test_capacity_special_typed_errors(rng):
         capacity_special(Channel(dependent))
     with pytest.raises(InvalidChannelError):
         capacity_special(random_channel(rng, 4, 2))
+    # empty, repeated and out-of-range input subsets
+    channel = random_channel(rng, 3, 4)
+    for subset in ([], [0, 0], [0, 3], [-1, 1]):
+        with pytest.raises(InvalidChannelError, match="input subset"):
+            capacity_special(channel, subset)
 
 
 def test_capacity_general_matches_ba(rng):

@@ -5,10 +5,11 @@ from scipy.linalg import block_diag
 from revem import reverse_em as rem
 from revem.classical import (GEOMETRY_REGULARIZATION, Channel, capacity_general,
                              capacity_special)
-from revem.cq import (CQChannel, _observable_basis, _regularize, build_problem,
-                      capacity_cq_iterative, capacity_cq_noniterative,
-                      cq_capacity_special, gell_mann_basis, holevo,
-                      holevo_batch, holevo_oracle, split, von_neumann_entropy)
+from revem.cq import (CQChannel, _observable_basis, _regularize, _state_entropies,
+                      build_problem, capacity_cq_iterative,
+                      capacity_cq_noniterative, cq_capacity_special,
+                      gell_mann_basis, holevo, holevo_batch, holevo_oracle,
+                      split)
 from revem.errors import DegenerateChannelError, InvalidChannelError
 
 
@@ -234,6 +235,27 @@ def test_dependent_states_raise_degenerate(rng):
         cq_capacity_special(ch)
 
 
+def test_cq_capacity_special_rejects_bad_subsets(rng):
+    ch = CQChannel(np.array([random_density(rng, 2) for _ in range(3)]))
+    for subset in ([], [0, 0], [0, 3], [-1, 1]):
+        with pytest.raises(InvalidChannelError, match="input subset"):
+            cq_capacity_special(ch, subset)
+
+
+def test_holevo_at_weight_below_the_eigen_floor():
+    # Two orthogonal pure states at p = (1 - eps, eps): the mixture's
+    # eigenvalue eps falls below EIGEN_FLOOR times the largest for
+    # eps < 1e-14, and the second state's weight there is dropped; the
+    # value stays the binary entropy h(eps), in the computational basis
+    # and in a rotated complex one.
+    unitary = np.linalg.qr(np.array([[1.0, 0.4 + 0.3j], [-0.2j, 0.9]]))[0]
+    for basis in (np.eye(2), unitary):
+        ch = CQChannel(np.array([np.outer(v, v.conj()) for v in basis.T]))
+        for eps in (1e-13, 1e-15, 1e-20):
+            h = -eps * np.log(eps) - (1 - eps) * np.log1p(-eps)
+            assert abs(holevo(np.array([1 - eps, eps]), ch) - h) <= 1e-12
+
+
 def test_orthogonal_pure_states_log_n(rng):
     states = np.zeros((2, 2, 2), dtype=complex)
     states[0, 0, 0] = 1.0
@@ -256,7 +278,7 @@ def test_relative_entropy_identity_on_built_system(rng):
         r1, r2 = sys.state(t1), sys.state(t2)
         w2, v2 = np.linalg.eigh(r2)
         log_r2 = (v2 * np.log(w2)) @ v2.conj().T
-        rel = float((-von_neumann_entropy(r1)
+        rel = float((-_state_entropies(r1[None])[0]
                      - np.trace(r1 @ log_r2).real))
         from revem.bregman import divergence
         assert abs(divergence(sys, t1, t2) - rel) < 1e-9

@@ -13,6 +13,10 @@ projection map invertible.  Three routes solve the problem:
   minimization of the second split potential over the kernel of the dual
   moment matrix (``split_maximizer``, the paper's non-iterative formula).
 
+Every step maps its new input weights back to the mixture coordinate in
+closed form: the mixture side of every capacity geometry is the categorical
+potential with per-input offsets (``ReverseEmProblem``).
+
 ``build_geometry`` builds the ``CapacityGeometry`` of every capacity module;
 a ``Split`` is what that geometry and the non-iterative formula share.
 """
@@ -64,6 +68,19 @@ class Split:
         return ClassicalSystem(np.eye(k + 1, k))
 
 
+def categorical_inverse(weights: Array) -> Array:
+    """log(w_i / w_last) for i < k: the inverse of the gradient map of the
+    categorical potential log(1 + sum_i exp theta_i) at the k + 1 weights
+    ``weights``.  Raises ImageMembershipError unless every weight is
+    positive, since the image of that map is the open simplex."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all(w > 0):
+        raise ImageMembershipError(
+            f"input weights {w} leave the open simplex, the image of the "
+            "categorical gradient map")
+    return np.log(w[:-1]) - np.log(w[-1])
+
+
 @dataclass(eq=False)
 class ReverseEmProblem:
     """A paired (mixture, exponential) instance.
@@ -74,6 +91,15 @@ class ReverseEmProblem:
     ``leading_identity_block`` records whether the leading k x k block of
     the dual matrix is the identity (within 1e-12), which the natural step
     and the non-iterative method need.
+
+    Contract: the k free coordinates of ``family_M`` are the indicators of
+    inputs 1..k of k + 1, and every other feature is local to one input.
+    The mixture potential is then categorical with per-input offsets,
+    F_M(theta_a) = log(e^{b_last} + sum_i e^{theta_a,i + b_i}), where b_x is
+    the log-partition of input x's block at theta_tail.  ``M_system`` is
+    that (k + 1)-point system, with b read from one evaluation of the
+    ambient restriction at theta_a = 0; ``m_shift`` = b[:k] - b_last, and
+    ``m_inverse`` inverts its gradient map in closed form.
     """
 
     sys: BregmanSystem
@@ -85,7 +111,8 @@ class ReverseEmProblem:
     dual_matrix: Array = field(init=False)
     leading_identity_block: bool = field(init=False)
     E_system: BregmanSystem = field(init=False)
-    M_system: BregmanSystem = field(init=False)
+    M_system: ClassicalSystem = field(init=False)
+    m_shift: Array = field(init=False)
 
     def __post_init__(self):
         self.theta_tail = np.asarray(self.theta_tail, dtype=float)
@@ -99,7 +126,10 @@ class ReverseEmProblem:
             and np.max(np.abs(lead - np.eye(k)), initial=0.0) <= 1e-12)
         self.E_system = self.sys.restrict(v, self.family_E.offset)
         m_offset = u @ np.concatenate([np.zeros(k), self.theta_tail])
-        self.M_system = self.sys.restrict(u[:, :k], m_offset)
+        f0, g0 = self.sys.restrict(u[:, :k], m_offset).value_grad(np.zeros(k))
+        offsets = f0 + np.log(np.append(g0, 1.0 - g0.sum()))
+        self.M_system = ClassicalSystem(np.eye(k + 1, k), offsets)
+        self.m_shift = offsets[:k] - offsets[k]
 
     @property
     def k(self) -> int:
@@ -121,6 +151,12 @@ class ReverseEmProblem:
     def e_ambient(self, theta_c: Array) -> Array:
         """Ambient natural parameter of the exponential-family member theta_c."""
         return self.family_E.ambient(theta_c)
+
+    def m_inverse(self, weights: Array) -> Array:
+        """Mixture coordinate theta_a of the member with the k + 1 input
+        weights ``weights``: the closed-form inverse of M_system's gradient
+        map, raising ImageMembershipError outside the open simplex."""
+        return categorical_inverse(weights) - self.m_shift
 
     def m_coords(self, theta: Array) -> Array:
         """Leading-k coordinates of an ambient mixture-family member."""
@@ -276,7 +312,8 @@ def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
                        state: Optional[Dict], extra_stop=None) -> Array:
     """The inverse map through the dual problem: minimize
     F_E*(eta_hat dual_matrix) - <eta_hat, theta_a> over eta_hat in R^k, then
-    invert the mixture-family gradient map at the minimizer.
+    invert the mixture-family gradient map at the minimizer, the input
+    weights (eta_hat, 1 - sum eta_hat).
 
     The inner gradient-map inversions are solved two decades tighter than
     the dual minimization so their error does not dominate its gradient.
@@ -320,7 +357,7 @@ def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
     state["eta_hat"] = res.point
     # The E-point of the minimizer is the m-projection of the new iterate.
     state["theta_c"] = solve_c(res.point)
-    return natural_param(p.M_system, res.point, theta_init=theta_a)
+    return p.m_inverse(np.append(res.point, 1.0 - res.point.sum()))
 
 
 def inverse_step_mixture(p: ReverseEmProblem, theta_a: Array,
@@ -386,10 +423,10 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
     theta_c = np.concatenate([theta_a - tail @ tb, tb])
     state["theta_c"] = theta_c
     if p.split is not None:
-        eta_a_new = sys_a.gradient(theta_c[:p.k])
-    else:
-        eta_a_new = p.E_system.gradient(theta_c)[:p.k]
-    return natural_param(p.M_system, eta_a_new, theta_init=theta_a)
+        # The new weights are grad F_a(theta_c[:k]), and F_M is F_a shifted.
+        return theta_c[:p.k] - p.m_shift
+    eta_a_new = p.E_system.gradient(theta_c)[:p.k]
+    return p.m_inverse(np.append(eta_a_new, 1.0 - eta_a_new.sum()))
 
 
 def solve_reverse_em(p: ReverseEmProblem, theta_init: Array,
@@ -645,7 +682,8 @@ def non_iterative(p: ReverseEmProblem) -> NonIterativeResult:
     ``split_maximizer`` leave the open simplex, the image of the categorical
     gradient map, the supremum is not attained in the interior and a
     nonexistence report is returned instead of a maximizer.  Inside it, the
-    categorical inverse is theta_a_bar = log(eta_a / eta_last).
+    categorical inverse gives theta_a_bar = log(eta_a / eta_last), and the
+    mixture coordinate is theta_a_bar - m_shift, as in ``m_inverse``.
     """
     if not p.leading_identity_block or p.split is None:
         raise ConditionViolationError(
@@ -659,10 +697,10 @@ def non_iterative(p: ReverseEmProblem) -> NonIterativeResult:
             theta_c=None, theta_b_bar=sol.theta_b_bar,
             message="maximum not attained in the interior: input weights "
                     f"{sol.weights} leave the open simplex")
-    theta_a_bar = np.log(eta_a / sol.weights[-1])
+    theta_a_bar = categorical_inverse(sol.weights)
     return NonIterativeResult(
         exists=True, capacity=float(sol.value),
-        theta_a=theta_a_bar + p.split.dual_offset, eta_a=eta_a,
+        theta_a=theta_a_bar - p.m_shift, eta_a=eta_a,
         theta_c=np.concatenate([theta_a_bar, sol.theta_b_bar]),
         theta_b_bar=sol.theta_b_bar)
 

@@ -318,7 +318,8 @@ def test_non_iterative_routes_agree(rng):
         channels.append(Channel((cols + 1e-3) / (1.0 + (n_in + 1) * 1e-3)))
     agreed = boundary = 0
     for channel in channels:
-        res = rem.non_iterative(build_problem(channel).rem)
+        p = build_problem(channel).rem
+        res = rem.non_iterative(p)
         special = capacity_special(channel)
         weights = np.append(res.eta_a, 1.0 - res.eta_a.sum())
         assert tuple(np.flatnonzero(weights < -NEG_TOL)) == special.negative_support
@@ -330,6 +331,8 @@ def test_non_iterative_routes_agree(rng):
                 natural_param(sys_a, res.eta_a)
             continue
         assert np.max(np.abs(natural_param(sys_a, res.eta_a) - res.theta_c[:k])) <= 1e-9
+        # theta_a is read through the mixture side's closed-form inverse.
+        assert np.max(np.abs(p.M_system.gradient(res.theta_a) - res.eta_a)) <= 1e-14
         assert abs(res.capacity - special.capacity) <= 1e-10
         agreed += 1
     assert agreed >= 10 and boundary >= 5
@@ -460,10 +463,10 @@ def _four_factorization_split_maximizer(sp):
             sp.sys_b.potential(theta) - sp.last_entropy, residual)
 
 
-def _random_states(rng, n, dim, rank_one=False):
+def _random_states(rng, n, dim, rank=None):
     a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
-    if rank_one:
-        a[:, :, 1:] = 0.0
+    if rank is not None:
+        a[:, :, rank:] = 0.0
     states = a @ a.conj().transpose(0, 2, 1)
     return states / np.trace(states, axis1=1, axis2=2).real[:, None, None]
 
@@ -481,7 +484,7 @@ def _seeded_splits(rng):
     for dim, n_in in ((2, 2), (2, 3), (3, 3), (3, 5)):
         splits.append(cq.split(cq._regularize(_random_states(rng, n_in, dim), 1e-6)))
     splits.append(cq.split(_random_states(rng, 4, 2)))
-    splits.append(cq.split(_random_states(rng, 3, 3, rank_one=True)))
+    splits.append(cq.split(_random_states(rng, 3, 3, rank=1)))
     return splits
 
 
@@ -539,3 +542,92 @@ def test_split_maximizer_raises_the_reference_errors(rng):
         with pytest.raises(RevemError) as got:
             rem.split_maximizer(sp)
         assert type(got.value) is type(expected.value) is DegenerateChannelError
+
+
+def _geometries_of_every_kind(rng):
+    """Capacity geometries of every kind: classical, degraded wiretap with
+    two and three inputs, and cq with mixed, pure and rank-deficient states."""
+    bob = rng.dirichlet(np.ones(3), size=2).T
+    t_map = rng.dirichlet(np.ones(2), size=3).T
+    return [
+        build_problem(random_channel(rng, 3, 4)),
+        build_problem(random_channel(rng, 4, 5)),
+        wiretap.build_problem(wiretap.WiretapChannel(np.einsum("zy,yx->xzy", t_map, bob))),
+        _degraded_wiretap_problem(),
+        cq.build_problem(cq.CQChannel(_random_states(rng, 3, 2))),
+        cq.build_problem(cq.CQChannel(_random_states(rng, 3, 2, rank=1))),
+        cq.build_problem(cq.CQChannel(_random_states(rng, 4, 3, rank=2))),
+    ]
+
+
+def test_mixture_side_is_categorical_on_every_kind(rng):
+    # Every feature is local to one input, so the mixture potential, the
+    # ambient potential restricted to the mixture family, is the categorical
+    # potential with per-input offsets that M_system holds.
+    kinds = set()
+    for geo in _geometries_of_every_kind(rng):
+        p = geo.rem
+        k, u = p.k, p.family_M.basis
+        assert p.M_system.features.shape == (k + 1, k)
+        ambient = p.sys.restrict(u[:, :k], u @ np.concatenate([np.zeros(k), p.theta_tail]))
+        for _ in range(10):
+            theta_a = rng.normal(scale=3.0, size=k)
+            f, g, h = p.M_system.value_grad_hess(theta_a)
+            f_ref, g_ref, h_ref = ambient.value_grad_hess(theta_a)
+            assert abs(f - f_ref) <= 1e-13
+            assert np.max(np.abs(g - g_ref)) <= 1e-13
+            assert np.max(np.abs(h - h_ref)) <= 1e-13
+        if p.split is not None:
+            assert np.max(np.abs(p.m_shift + p.split.dual_offset)) <= 1e-13
+        uniform = np.full(k + 1, 1.0 / (k + 1))
+        assert np.max(np.abs(geo.theta_a_uniform - p.m_inverse(uniform))) <= 1e-11
+        kinds.add((type(p.sys).__name__, p.split is not None))
+    assert len(kinds) == 3
+
+
+def test_categorical_inverse_round_trip_and_image(rng):
+    p = build_problem(random_channel(rng, 4, 5)).rem
+    k = p.k
+    sys_a = classical_system(np.eye(k + 1, k))
+    for tiny in (1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 1e-3):
+        for where in range(k + 1):
+            w = rng.dirichlet(np.ones(k + 1))
+            w[where] = tiny
+            w /= w.sum()
+            for theta, system in ((p.m_inverse(w), p.M_system),
+                                  (rem.categorical_inverse(w), sys_a)):
+                # A tiny last weight makes every coordinate large (about 690
+                # at 1e-300), and a coordinate is only known to its spacing.
+                bound = 1e-14 if where < k else 1e-14 + 2.0 * np.spacing(np.max(theta))
+                assert np.max(np.abs(system.gradient(theta) - w[:k])) <= bound
+    # Outside the open simplex, the image of the gradient map.
+    for where in range(k + 1):
+        for bad in (0.0, -1e-300, -0.2, np.nan):
+            w = np.full(k + 1, 1.0 / k)
+            w[where] = bad
+            with pytest.raises(ImageMembershipError):
+                p.m_inverse(w)
+
+
+def test_no_step_inverts_the_mixture_side_by_newton(rng, monkeypatch):
+    # Every stepper inverts the mixture gradient map in closed form; the
+    # natural stepper's only gradient-map inversion is the objective's
+    # m-projection, one per outer iteration.
+    calls = []
+    original = rem.natural_param
+
+    def recorded(sys, *args, **kwargs):
+        calls.append(sys)
+        return original(sys, *args, **kwargs)
+
+    monkeypatch.setattr(rem, "natural_param", recorded)
+    for geo in _geometries_of_every_kind(rng)[::2]:
+        p = geo.rem
+        start = geo.theta_a_uniform + 0.5 * rng.normal(size=p.k)
+        for stepper, kwargs in (("natural", {}), ("mixture", {}), ("eps", {"eps": 1e-12})):
+            calls.clear()
+            trace = rem.solve_reverse_em(p, start, stepper=stepper, max_iter=6, **kwargs)
+            assert trace.iterations >= 1
+            assert calls and all(sys is p.E_system for sys in calls)
+            if stepper == "natural":
+                assert len(calls) == trace.objective_values.size

@@ -32,7 +32,8 @@ import numpy as np
 from .bregman import BregmanSystem, ClassicalSystem, divergence, natural_param
 from .errors import (ConditionViolationError, DegenerateChannelError,
                      ImageMembershipError, InfeasibleSystemError,
-                     InvalidChannelError, ProjectionError, RevemError)
+                     InvalidChannelError, InvalidSpecError, ProjectionError,
+                     RevemError)
 from .families import (ExponentialSubfamily, MixtureSubfamily, e_projection,
                        m_projection)
 from .numerics import (_require_consistent, _spd_solve, least_norm_solve,
@@ -100,6 +101,12 @@ class ReverseEmProblem:
     that (k + 1)-point system, with b read from one evaluation of the
     ambient restriction at theta_a = 0; ``m_shift`` = b[:k] - b_last, and
     ``m_inverse`` inverts its gradient map in closed form.
+
+    The tail moments of ``family_M``, its ``targets``, are zero and so is
+    the offset of ``family_E`` (InvalidSpecError otherwise).  The divergence
+    from a mixture member theta_a to an exponential member theta_c then
+    reads from F_M, F_E and the dual matrix alone (``_objective``), so no
+    solve evaluates the ambient system ``sys`` after construction.
     """
 
     sys: BregmanSystem
@@ -116,6 +123,10 @@ class ReverseEmProblem:
 
     def __post_init__(self):
         self.theta_tail = np.asarray(self.theta_tail, dtype=float)
+        if np.any(self.family_M.targets != 0) or np.any(self.family_E.offset != 0):
+            raise InvalidSpecError(
+                "reverse-em problems need zero mixture targets and a zero "
+                "exponential offset")
         u = self.family_M.basis
         k = self.family_M.free_count
         v = self.family_E.generators
@@ -147,10 +158,6 @@ class ReverseEmProblem:
         """Ambient natural parameter of the mixture-family member theta_a."""
         return self.family_M.basis @ np.concatenate(
             [np.asarray(theta_a, dtype=float), self.theta_tail])
-
-    def e_ambient(self, theta_c: Array) -> Array:
-        """Ambient natural parameter of the exponential-family member theta_c."""
-        return self.family_E.ambient(theta_c)
 
     def m_inverse(self, weights: Array) -> Array:
         """Mixture coordinate theta_a of the member with the k + 1 input
@@ -254,23 +261,31 @@ class NonIterativeResult:
     message: str = ""
 
 
-def _objective_and_residual(p: ReverseEmProblem, theta_a: Array,
-                            state: Dict) -> Tuple[float, float, Array]:
-    """Objective D(theta || m-projection) and the fixed-point residual.
+def _objective(p: ReverseEmProblem, theta_a: Array, theta_c: Array) -> float:
+    """D(theta_a || theta_c) from the mixture member theta_a to the
+    exponential member theta_c, read from the two potentials:
+    eta_a . (theta_a - dual_matrix theta_c) - F_M(theta_a) + F_E(theta_c),
+    with eta_a = grad F_M(theta_a).  It holds for any theta_c, because a
+    mixture member's tail moments vanish (see ``ReverseEmProblem``)."""
+    f_m, eta_a = p.M_system.value_grad(theta_a)
+    return float(eta_a @ (theta_a - p.dual_matrix @ theta_c) - f_m
+                 + p.E_system.potential(theta_c))
 
-    The m-projection is warm-started at ``state["theta_c"]``, which the
-    inverse steps set to the E-point they solved for.
+
+def _objective_and_residual(p: ReverseEmProblem, theta_a: Array,
+                            state: Dict) -> Tuple[float, float]:
+    """Objective D(theta_a || theta_c) and the fixed-point residual
+    |dual_matrix theta_c - theta_a| at theta_c = ``state["theta_c"]``, the
+    m-projection of theta_a that every inverse step leaves for the iterate
+    it returns.  When the state holds none, it is solved for and stored.
     """
-    amb = p.m_ambient(theta_a)
-    f_m, g_m = p.sys.value_grad(amb)
-    target = p.family_E.generators.T @ g_m
-    theta_c = natural_param(p.E_system, target, theta_init=state.get("theta_c"))
-    state["theta_c"] = theta_c
-    amb_e = p.e_ambient(theta_c)
-    obj = float(g_m @ (amb - amb_e) - f_m + p.sys.potential(amb_e))
-    residual = float(np.linalg.norm(
-        p.dual_matrix @ theta_c - np.asarray(theta_a, dtype=float)))
-    return obj, residual, theta_c
+    theta_a = np.asarray(theta_a, dtype=float)
+    theta_c = state.get("theta_c")
+    if theta_c is None:
+        target = p.dual_matrix.T @ p.M_system.gradient(theta_a)
+        theta_c = state["theta_c"] = natural_param(p.E_system, target)
+    residual = float(np.linalg.norm(p.dual_matrix @ theta_c - theta_a))
+    return _objective(p, theta_a, theta_c), residual
 
 
 _EM_NORM_GUARD = 200.0
@@ -317,26 +332,23 @@ def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
 
     The inner gradient-map inversions are solved two decades tighter than
     the dual minimization so their error does not dominate its gradient.
-    Each is warm-started at the last one, which ``state["legendre"]`` keeps
-    across steps.
+    Each is warm-started at the last one, the first at ``state["theta_c"]``,
+    the m-projection of theta_a.
     """
     grad_tol = 1e-9
     state = {} if state is None else state
     theta_a = np.asarray(theta_a, dtype=float)
-    eta_init = state.get("eta_hat")
-    if eta_init is None:
-        eta_init = p.M_system.gradient(theta_a)
     dual = p.dual_matrix
-    memo: Dict = {"key": None}
+    memo: Dict = {"key": None, "theta_c": state.get("theta_c")}
 
     def solve_c(eta_hat):
         key = eta_hat.tobytes()
         if memo["key"] != key:
-            state["legendre"] = natural_param(
-                p.E_system, dual.T @ eta_hat, theta_init=state.get("legendre"),
+            memo["theta_c"] = natural_param(
+                p.E_system, dual.T @ eta_hat, theta_init=memo["theta_c"],
                 grad_tol=grad_tol * 1e-2)
             memo["key"] = key
-        return state["legendre"]
+        return memo["theta_c"]
 
     def fgh(eta_hat):
         try:
@@ -350,11 +362,11 @@ def _inverse_step_dual(p: ReverseEmProblem, theta_a: Array,
         h = dual @ _spd_solve(h_c, dual.T)
         return f, g, 0.5 * (h + h.T)
 
-    res = minimize_fgh(fgh, eta_init, grad_tol=grad_tol, extra_stop=extra_stop)
+    res = minimize_fgh(fgh, p.M_system.gradient(theta_a), grad_tol=grad_tol,
+                       extra_stop=extra_stop)
     if not res.converged:
         raise ProjectionError(
             f"inner dual minimization stalled (gradient norm {res.gradient_norm:.3e})")
-    state["eta_hat"] = res.point
     # The E-point of the minimizer is the m-projection of the new iterate.
     state["theta_c"] = solve_c(res.point)
     return p.m_inverse(np.append(res.point, 1.0 - res.point.sum()))
@@ -395,9 +407,9 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
     state = {} if state is None else state
     theta_a = np.asarray(theta_a, dtype=float)
     tail = p.dual_tail
-    tb0 = state.get("theta_b")
-    if tb0 is None:
-        tb0 = np.zeros(p.l - p.k)
+    # Warm start at the m-projection of theta_a, when the state holds it.
+    theta_c = state.get("theta_c")
+    tb0 = np.zeros(p.l - p.k) if theta_c is None else theta_c[p.k:]
 
     if p.split is not None:
         sys_a, sys_b = p.split.sys_a, p.split.sys_b
@@ -418,7 +430,6 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
     if not res.converged:
         raise ProjectionError("natural-parameter inner minimization stalled")
     tb = res.point
-    state["theta_b"] = tb
     # The E-point of the minimizer is the m-projection of the new iterate.
     theta_c = np.concatenate([theta_a - tail @ tb, tb])
     state["theta_c"] = theta_c
@@ -435,24 +446,30 @@ def solve_reverse_em(p: ReverseEmProblem, theta_init: Array,
                      residual_tol: float = 1e-8) -> SolveTrace:
     """Iterate the chosen inverse step from theta_init, recording the
     objective and fixed-point residual, until the objective increment drops
-    below ``tol`` or the residual below ``residual_tol``."""
+    below ``tol`` or the residual below ``residual_tol``.  The iterate is
+    the pair (theta_a, theta_c), theta_c its m-projection, which each step
+    leaves in the state; the result is the last iterate, or for ``eps`` the
+    best one."""
     if stepper not in STEPPERS:
         raise ValueError(f"unknown stepper {stepper!r}")
     if stepper == "eps" and (eps is None or eps <= 0):
         raise ValueError("eps stepper requires a positive eps")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
 
     theta_a = np.asarray(theta_init, dtype=float).copy()
     state: Dict = {}
     objectives: List[float] = []
     residuals: List[float] = []
-    iterates: List[Array] = []
+    capacity, best = -math.inf, theta_a
     converged = False
 
     for _ in range(max_iter + 1):
-        obj, residual, _ = _objective_and_residual(p, theta_a, state)
+        obj, residual = _objective_and_residual(p, theta_a, state)
         objectives.append(obj)
         residuals.append(residual)
-        iterates.append(theta_a.copy())
+        if stepper != "eps" or obj > capacity:
+            capacity, best = obj, theta_a
         if residual < residual_tol or (
                 len(objectives) > 1 and abs(objectives[-1] - objectives[-2]) < tol):
             converged = True
@@ -466,13 +483,12 @@ def solve_reverse_em(p: ReverseEmProblem, theta_init: Array,
         else:
             theta_a = inverse_step_eps(p, theta_a, eps, state)
 
-    best = int(np.argmax(objectives)) if stepper == "eps" else len(objectives) - 1
     return SolveTrace(
         objective_values=np.asarray(objectives),
         fixed_point_residuals=np.asarray(residuals),
         iterations=len(objectives) - 1,
-        capacity=float(objectives[best]),
-        theta_a=iterates[best],
+        capacity=float(capacity),
+        theta_a=best,
         converged=converged,
     )
 
@@ -571,8 +587,8 @@ def em_conversion(p: ReverseEmProblem, max_iter: int = 20) -> EmConversionResult
                                   "degenerate intersection: supremum not attained "
                                   "in the interior")
     theta_a = p.dual_matrix @ theta_c
-    capacity = divergence(p.sys, p.m_ambient(theta_a), p.e_ambient(theta_c))
-    return EmConversionResult(True, float(capacity), theta_a, theta_c, residual, it)
+    return EmConversionResult(True, _objective(p, theta_a, theta_c), theta_a,
+                              theta_c, residual, it)
 
 
 def _polish_intersection(p: ReverseEmProblem, theta_c: Array) -> Tuple[Array, float, Array]:

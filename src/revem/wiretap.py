@@ -120,6 +120,8 @@ def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10) -> CapacityOut
 
 def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:
     """Grid maximization of I(X;Y) - I(X;Z) with local refinement (n1 <= 3)."""
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     n1 = channel.n_inputs
     if n1 > 3:
         raise InvalidChannelError("oracle supports at most three inputs")

@@ -131,7 +131,7 @@ def test_build_problem_structure(rng):
         q = joint.sum(axis=1)
         assert np.max(np.abs(joint - channel.matrix.T * q[:, None])) < 1e-9
     # the zero coordinate of E is the uniform product distribution
-    uniform = p.sys.distribution(p.e_ambient(np.zeros(p.l)))
+    uniform = p.sys.distribution(p.family_E.ambient(np.zeros(p.l)))
     assert np.max(np.abs(uniform - 1.0 / 16)) < 1e-14
     # uniform-input coordinate coincides with the entropy-difference offsets
     assert np.max(np.abs(prob.theta_a_uniform - p.split.dual_offset)) < 1e-8
@@ -146,10 +146,9 @@ def test_objective_identity_and_bound(rng):
     channel = chan1(0.1)
     prob = build_problem(channel)
     p = prob.rem
-    state = {}
     for _ in range(10):
         theta_a = 0.6 * rng.normal(size=p.k)
-        obj, _, _ = rem._objective_and_residual(p, theta_a, state)
+        obj, _ = rem._objective_and_residual(p, theta_a, {})
         q = prob.decode_input(theta_a)
         assert abs(obj - mutual_information(channel.matrix, q)) < 1e-9
         # divergence to the uniform-input member never exceeds log n1

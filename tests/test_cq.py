@@ -104,7 +104,7 @@ def test_build_problem_structure(rng):
     assert np.max(np.abs(p.dual_matrix[:, :k] - np.eye(k))) < 1e-10
     # exponential members at coordinates (theta_a, theta_b) are product states
     theta_c = 0.5 * rng.normal(size=p.l)
-    rho = p.sys.state(p.e_ambient(theta_c))
+    rho = p.sys.state(p.family_E.ambient(theta_c))
     n1, n2 = ch.n_inputs, ch.dim
     blocks = rho.reshape(n1, n2, n1, n2)
     weights = np.array([np.trace(blocks[i, :, i, :]).real for i in range(n1)])
@@ -163,10 +163,9 @@ def test_objective_identity_holevo(rng):
     ch = random_qubit_pair(rng)
     prob = build_problem(ch)
     p = prob.rem
-    state = {}
     for _ in range(4):
         theta_a = 0.5 * rng.normal(size=p.k)
-        obj, _, _ = rem._objective_and_residual(p, theta_a, state)
+        obj, _ = rem._objective_and_residual(p, theta_a, {})
         q = prob.decode_input(theta_a)
         assert abs(obj - holevo(q, ch)) < 1e-8
 

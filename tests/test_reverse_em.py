@@ -9,7 +9,7 @@ from revem.classical import (NEG_TOL, Channel, blahut_arimoto, build_problem,
                              capacity_special, mutual_information, split)
 from revem.errors import (ConditionViolationError, DegenerateChannelError,
                           ImageMembershipError, InfeasibleSystemError,
-                          ProjectionError, RevemError)
+                          InvalidSpecError, ProjectionError, RevemError)
 from revem.families import (ExponentialSubfamily, MixtureSubfamily,
                             e_projection, m_projection)
 from revem.numerics import minimize_fgh
@@ -182,7 +182,7 @@ def test_em_minimize_zero_when_families_intersect():
     mat = np.array([[0.3, 0.3], [0.7, 0.7]])
     prob = build_problem(Channel(mat))
     p = prob.rem
-    result = rem.em_minimize(p.sys, p.family_M, p.family_E, p.e_ambient(np.zeros(p.l)))
+    result = rem.em_minimize(p.sys, p.family_M, p.family_E, p.family_E.ambient(np.zeros(p.l)))
     assert result.c_inf < 1e-10
 
 
@@ -610,9 +610,10 @@ def test_categorical_inverse_round_trip_and_image(rng):
 
 
 def test_no_step_inverts_the_mixture_side_by_newton(rng, monkeypatch):
-    # Every stepper inverts the mixture gradient map in closed form; the
-    # natural stepper's only gradient-map inversion is the objective's
-    # m-projection, one per outer iteration.
+    # Every stepper inverts the mixture gradient map in closed form, and the
+    # objective reads the m-projection each step leaves in the state.  The
+    # natural stepper's only gradient-map inversion is then the starting
+    # iterate's m-projection, one per solve.
     calls = []
     original = rem.natural_param
 
@@ -630,4 +631,100 @@ def test_no_step_inverts_the_mixture_side_by_newton(rng, monkeypatch):
             assert trace.iterations >= 1
             assert calls and all(sys is p.E_system for sys in calls)
             if stepper == "natural":
-                assert len(calls) == trace.objective_values.size
+                assert len(calls) == 1
+
+
+def test_solver_max_iter_bounds():
+    prob = bsc_problem(0.2)
+    p = prob.rem
+    with pytest.raises(ValueError, match="max_iter"):
+        rem.solve_reverse_em(p, prob.theta_a_uniform, max_iter=-1)
+    # max_iter = 0 evaluates the starting iterate and takes no step.
+    start = prob.theta_a_uniform + 0.4
+    expected = rem._objective_and_residual(p, start, {})[0]
+    for stepper, kwargs in (("natural", {}), ("mixture", {}), ("eps", {"eps": 1e-12})):
+        trace = rem.solve_reverse_em(p, start, stepper=stepper, max_iter=0, **kwargs)
+        assert trace.iterations == 0 and not trace.converged
+        assert trace.objective_values.tolist() == [trace.capacity] == [expected]
+        assert np.array_equal(trace.theta_a, start)
+
+
+def _ambient_divergence(p, theta_a, theta_c):
+    return divergence(p.sys, p.m_ambient(theta_a), p.family_E.ambient(theta_c))
+
+
+def test_objective_is_the_ambient_divergence(rng):
+    # D(theta_a || theta_c) from F_M, F_E and the dual matrix equals the
+    # ambient divergence for every exponential member theta_c, m-projection
+    # or not.  The largest deviations come from a large theta_tail: chan1's
+    # exact zeros and rank-deficient cq states, where theta_tail's 1e-12
+    # Newton tolerance leaves tail moments of about 1e-12.
+    geos = [build_problem(chan1(float(t))) for t in np.round(np.arange(0.0, 0.7601, 0.04), 10)]
+    for _ in range(4):
+        n_in = int(rng.integers(2, 5))
+        geos.append(build_problem(random_channel(rng, n_in, n_in + 2)))
+        cols = rng.dirichlet(np.full(n_in + 1, 0.3), size=n_in).T
+        geos.append(build_problem(Channel((cols + 1e-3) / (1.0 + (n_in + 1) * 1e-3))))
+    geos += _geometries_of_every_kind(rng)
+    bob = rng.dirichlet(np.ones(3), size=3).T
+    t_map = rng.dirichlet(np.ones(3), size=3).T  # three eavesdropper letters
+    geos.append(wiretap.build_problem(
+        wiretap.WiretapChannel(np.einsum("zy,yx->xzy", t_map, bob))))
+    for geo in geos:
+        p = geo.rem
+        for _ in range(3):
+            theta_a = geo.theta_a_uniform + rng.normal(size=p.k)
+            for theta_c in (rng.normal(size=p.l), None):
+                if theta_c is None:  # the m-projection of theta_a
+                    state = {}
+                    rem._objective_and_residual(p, theta_a, state)
+                    theta_c = state["theta_c"]
+                got = rem._objective(p, theta_a, theta_c)
+                assert abs(got - _ambient_divergence(p, theta_a, theta_c)) <= 1e-10
+
+
+def test_problem_rejects_nonzero_targets_and_offset():
+    p = bsc_problem().rem
+    d = p.sys.dim
+    shifted_m = MixtureSubfamily(p.family_M.basis, p.k, np.full(d - p.k, 1e-3))
+    shifted_e = ExponentialSubfamily(p.family_E.generators, np.full(d, 1e-3))
+    for fam_m, fam_e in ((shifted_m, p.family_E), (p.family_M, shifted_e)):
+        with pytest.raises(InvalidSpecError):
+            rem.ReverseEmProblem(sys=p.sys, family_E=fam_e, family_M=fam_m,
+                                 theta_tail=p.theta_tail)
+
+
+def _em_geometries(rng):
+    """Classical, degraded wiretap (|Z| = 2) and cq geometries whose
+    auxiliary families intersect, so em_conversion values a point."""
+    bob = (rng.dirichlet(np.ones(3), size=2).T + 0.05) / 1.15
+    t_map = (rng.dirichlet(np.ones(2), size=3).T + 0.05) / 1.10
+    return [build_problem(chan1(0.1)),
+            wiretap.build_problem(
+                wiretap.WiretapChannel(np.einsum("zy,yx->xzy", t_map, bob))),
+            cq.build_problem(_random_cq(rng, 2, 2))]
+
+
+def test_no_solve_path_evaluates_the_ambient_system(rng, monkeypatch):
+    # After construction the loop, every step and em's valuation read F_M,
+    # F_E and the dual matrix only.
+    for geo in _em_geometries(rng):
+        p = geo.rem
+        calls = []
+        for name in ("potential", "value_grad", "value_grad_hess"):
+            def counted(*args, _name=name, _original=getattr(p.sys, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(p.sys, name, counted)
+        start = geo.theta_a_uniform + 0.5 * rng.normal(size=p.k)
+        for stepper, kwargs in (("natural", {}), ("mixture", {}), ("eps", {"eps": 1e-12})):
+            trace = rem.solve_reverse_em(p, start, stepper=stepper, max_iter=6, **kwargs)
+            assert trace.iterations >= 1
+        conv = rem.em_conversion(p)
+        assert conv.intersection_found
+        assert calls == []
+        # The wrappers see an ambient evaluation when there is one.
+        reference = _ambient_divergence(p, conv.theta_a, conv.theta_c)
+        assert calls == ["value_grad", "potential"]
+        assert abs(conv.capacity - reference) <= 1e-10

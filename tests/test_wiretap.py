@@ -110,11 +110,10 @@ def test_objective_identity_three_ways(rng):
                           np.array([[0.9, 0.2], [0.1, 0.8]]))
     prob = build_problem(ch)
     p = prob.rem
-    state = {}
     for _ in range(5):
         theta_a = 0.6 * rng.normal(size=p.k)
         q = prob.decode_input(theta_a)
-        obj, _, _ = rem._objective_and_residual(p, theta_a, state)
+        obj, _ = rem._objective_and_residual(p, theta_a, {})
         direct = secrecy_objective(ch, q)
         conditional = conditional_objective(ch, q)
         assert abs(obj - direct) < 1e-9
@@ -249,3 +248,10 @@ def test_cross_hessian_vanishes_only_for_one_eve_letter(rng):
             assert cross < 1e-12 and p.split is not None
         else:
             assert cross > 1e-3 and p.split is None
+
+
+def test_secrecy_oracle_rejects_empty_grid():
+    ch = degraded_channel(bsc_matrix(0.1), bsc_matrix(0.2))
+    for grid_points in (0, -5):
+        with pytest.raises(ValueError, match="grid_points"):
+            secrecy_oracle(ch, grid_points)

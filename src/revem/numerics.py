@@ -1,6 +1,6 @@
 """Shared numerical kernels: smooth convex minimization, kernel bases,
-least-norm solves and the 1-d grid-plus-golden-section maximizer of the
-two-input oracles.
+least-norm solves, nonnegative least squares (the degradedness check) and
+the 1-d grid-plus-golden-section maximizer of the oracles.
 
 The damped-Newton kernel factors its Hessians through LAPACK ``potrf`` /
 ``potrs`` directly rather than ``scipy.linalg.cho_factor`` / ``cho_solve``:
@@ -226,6 +226,48 @@ def least_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> LeastNorm:
     x = pinv @ rhs
     _require_consistent(float(np.linalg.norm(mat @ x - rhs)), rhs, svals)
     return LeastNorm(x, svals, vt[rank:].T.copy(), pinv)
+
+
+def nonneg_least_squares(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x >= 0 minimizing |mat @ x - rhs|, by the Lawson-Hanson active-set
+    method (Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23).
+
+    A column j joins the passive set while its correlation with the residual
+    r = rhs - mat @ x, (mat.T @ r)_j, exceeds 10 eps (largest column 1-norm)
+    max(m, n); at most 3n columns join.  The returned x is nonnegative
+    exactly.
+    """
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    rhs = np.asarray(rhs, dtype=float)
+    m, n = mat.shape
+    # A nonnegative unconstrained least-squares point attains the
+    # unconstrained minimum, so it solves the constrained problem too.
+    x = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+    if np.all(x >= 0.0):
+        return x
+    tol = 10.0 * _EPS * np.abs(mat).sum(axis=0).max(initial=0.0) * max(m, n)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        corr = np.where(passive, -np.inf, mat.T @ (rhs - mat @ x))
+        if corr.max() <= tol:
+            break
+        passive[int(np.argmax(corr))] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(mat[:, passive], rhs, rcond=None)[0]
+            blocked = passive & (z <= 0.0)
+            if not blocked.any():
+                break
+            # Back-track from x towards z until the first passive weight
+            # reaches zero, and move that column back to the active set.
+            ratios = x[blocked] / (x[blocked] - z[blocked])
+            x = x + ratios.min() * (z - x)
+            passive[np.flatnonzero(blocked)[np.argmin(ratios)]] = False
+            passive &= x > 0.0
+            x[~passive] = 0.0
+        x = z
+    return x
 
 
 def maximize_on_unit_interval(value: Callable[[float], float],

@@ -2,6 +2,13 @@
 secrecy objective, the iterative natural-parameter solver, and a grid
 oracle.
 
+The degradedness check fits a stochastic map T with W_Z = T W_Y by exact
+nonnegative least squares (``numerics.nonneg_least_squares``, Lawson-Hanson
+active set), so a T with zero entries is reached, not approached.  The
+oracle maximizes on a grid with golden-section refinement: once on [0, 1]
+for two inputs, nested (an outer search over q_1 of the inner maximum over
+its slice) for three.
+
 The geometry over X x Z x Y is ``classical.markov_geometry``: its
 exponential family is the Markov-chain distributions P(y|z) P(x,z), its
 mixture family is {W x q}.  For channels satisfying the X - Y - Z
@@ -13,12 +20,11 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.optimize
 
-from .classical import (CapacityOutcome, iterative_outcome, markov_geometry,
-                        mutual_information)
+from .classical import (CapacityOutcome, _column_neg_entropies, _divergences,
+                        iterative_outcome, markov_geometry, mutual_information)
 from .errors import InvalidChannelError, NotDegradedError
-from .numerics import maximize_on_unit_interval
+from .numerics import maximize_on_unit_interval, nonneg_least_squares
 from .reverse_em import CapacityGeometry
 
 Array = np.ndarray
@@ -87,8 +93,7 @@ def check_degraded(channel: WiretapChannel) -> Tuple[bool, float]:
     # match W_Z[z, x] (n2 * n1 rows) plus the column sums of T (n3 rows).
     mat = np.vstack([np.kron(np.eye(n2), w_y.T), np.kron(np.ones(n2), np.eye(n3))])
     vec = np.concatenate([w_z.reshape(-1), np.ones(n3)])
-    fit = scipy.optimize.lsq_linear(mat, vec, bounds=(0.0, np.inf))
-    residual = float(np.linalg.norm(mat @ fit.x - vec))
+    residual = float(np.linalg.norm(mat @ nonneg_least_squares(mat, vec) - vec))
     return residual <= DEGRADED_TOL, residual
 
 
@@ -119,7 +124,15 @@ def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10) -> CapacityOut
 
 
 def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:
-    """Grid maximization of I(X;Y) - I(X;Z) with local refinement (n1 <= 3)."""
+    """Grid maximization of I(X;Y) - I(X;Z) with local refinement (n1 <= 3).
+
+    Two inputs: ``maximize_on_unit_interval`` on grid_points + 1 points.
+    Three inputs: the same refinement nested, on m + 1 points per level with
+    m = max(grid_points // 4, 40), of g(a) = max of the objective over the
+    slice q_1 = a.  The objective of a degraded channel is concave in q, and
+    a partial maximum of a concave function over a convex set is concave,
+    so g is concave and each level's refinement brackets its maximum.
+    """
     if grid_points < 1:
         raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     n1 = channel.n_inputs
@@ -128,31 +141,26 @@ def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:
     if n1 == 1:
         return 0.0
 
-    def value(q):
-        return secrecy_objective(channel, q)
-
     if n1 == 2:
+        def value(q):
+            return secrecy_objective(channel, q)
+
         grid = np.linspace(0.0, 1.0, grid_points + 1)
         return maximize_on_unit_interval(
             lambda s: value(np.array([s, 1 - s])),
             [value(q) for q in np.stack([grid, 1 - grid], axis=1)])
 
-    best = (-np.inf, None)
-    m = max(grid_points // 4, 40)
-    for a in range(m + 1):
-        for b in range(m + 1 - a):
-            q = np.array([a, b, m - a - b]) / m
-            v = value(q)
-            if v > best[0]:
-                best = (v, q)
-    q0 = np.maximum(best[1], 1e-6)
-    x0 = np.log(q0 / q0[-1])[:2]
+    # The objective as q @ s(q), s the difference of the two classical
+    # divergence vectors, with the column entropies read once.
+    w_y, w_z = channel.bob_marginal(), channel.eve_marginal()
+    neg_y, neg_z = _column_neg_entropies(w_y), _column_neg_entropies(w_z)
+    grid = np.linspace(0.0, 1.0, max(grid_points // 4, 40) + 1)
 
-    def neg(x):
-        w = np.exp(np.concatenate([x, [0.0]]))
-        return -value(w / w.sum())
+    def slice_max(a):
+        """max of the objective over q = (a, (1 - a) s, (1 - a)(1 - s))."""
+        def on_slice(s):
+            q = np.array([a, (1 - a) * s, (1 - a) * (1 - s)])
+            return float(q @ (_divergences(w_y, neg_y, q) - _divergences(w_z, neg_z, q)))
+        return maximize_on_unit_interval(on_slice, [on_slice(s) for s in grid])
 
-    res = scipy.optimize.minimize(neg, x0, method="Nelder-Mead",
-                                  options={"xatol": 1e-10, "fatol": 1e-12,
-                                           "maxiter": 4000})
-    return float(max(best[0], -res.fun))
+    return maximize_on_unit_interval(slice_max, [slice_max(a) for a in grid])

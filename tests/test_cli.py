@@ -319,3 +319,27 @@ def test_em_without_intersection_exits_noconv(capsys):
     # past the support transition the supremum is not attained
     assert main(["capacity", "--template", "chan1:0.76", "--method", "em"]) == 3
     assert "capacity: nan" in capsys.readouterr().out
+
+
+def test_validate_accepts_eve_merging_bob_outputs(tmp_path, capsys):
+    # Eve sees Bob's outputs 2 and 3 merged, so the map T has zeros.
+    w_y = np.array([[0.5, 0.1], [0.3, 0.3], [0.2, 0.6]])
+    tensor = np.einsum("zy,yx->xzy", np.array([[1.0, 0, 0], [0, 1, 1]]), w_y)
+    wt = tmp_path / "wt.csv"
+    wt.write_text(format_wiretap(WiretapChannel(tensor)))
+    assert main(["validate", "--kind", "wiretap", "--in", str(wt)]) == 0
+    assert "degraded: True" in capsys.readouterr().out
+
+
+def test_three_input_wiretap_oracle_command(tmp_path, capsys):
+    w_y = np.array([[0.7, 0.1, 0.2], [0.2, 0.6, 0.1], [0.1, 0.3, 0.7]])
+    tensor = np.einsum("zy,yx->xzy", np.array([[0.9, 0.2, 0.5], [0.1, 0.8, 0.5]]), w_y)
+    wt = tmp_path / "wt3.csv"
+    wt.write_text(format_wiretap(WiretapChannel(tensor)))
+    assert main(["capacity", "--kind", "wiretap", "--in", str(wt),
+                 "--method", "oracle"]) == 0
+    cap_or = float(capsys.readouterr().out.split("capacity: ")[1].split()[0])
+    assert main(["capacity", "--kind", "wiretap", "--in", str(wt),
+                 "--method", "iterative"]) == 0
+    cap_it = float(capsys.readouterr().out.split("capacity: ")[1].split()[0])
+    assert abs(cap_it - cap_or) < 1e-6

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,8 @@ from revem import classical
 from revem.bregman import classical_system, natural_param
 from revem.errors import InfeasibleSystemError, NumericalError
 from revem.numerics import (_chol_solve, _spd_solve, kernel_basis,
-                            least_norm_solve, minimize_fgh)
+                            least_norm_solve, minimize_fgh,
+                            nonneg_least_squares)
 
 
 def test_quadratic_known_minimizer():
@@ -229,3 +231,46 @@ def test_non_finite_value_at_start_raises():
     for bad in (math.inf, math.nan):
         with pytest.raises(NumericalError):
             minimize_fgh(lambda x, bad=bad: (bad, None, None), np.zeros(2))
+
+
+def nnls_problems(seed, count):
+    """Seeded (kind, mat, rhs): tall, wide and rank-deficient tall problems,
+    in turn; a rank-deficient one's last column is the sum of its first two."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        kind = ("tall", "wide", "rank-deficient")[i % 3]
+        small = int(rng.integers(3, 8))
+        large = small + int(rng.integers(1, 5))
+        mat = rng.normal(size=(small, large) if kind == "wide" else (large, small))
+        if kind == "rank-deficient":
+            mat[:, -1] = mat[:, 0] + mat[:, 1]
+        yield kind, mat, rng.normal(size=mat.shape[0])
+
+
+def test_nonneg_least_squares_matches_scipy_nnls():
+    for kind, mat, rhs in nnls_problems(5, 300):
+        x = nonneg_least_squares(mat, rhs)
+        _, expected = scipy.optimize.nnls(mat, rhs)
+        assert x.shape == (mat.shape[1],) and np.all(x >= 0.0), kind
+        assert abs(np.linalg.norm(mat @ x - rhs) - expected) <= 1e-10, kind
+
+
+def test_nonneg_least_squares_exact_and_zero_solutions(rng):
+    mat = rng.random((6, 4))
+    truth = np.array([0.7, 0.0, 1.3, 0.2])
+    x = nonneg_least_squares(mat, mat @ truth)
+    assert np.linalg.norm(mat @ x - mat @ truth) <= 1e-12
+    assert np.max(np.abs(x - truth)) <= 1e-12
+    # mat >= 0, so mat.T @ rhs <= 0: no column improves on x = 0.
+    rhs = -mat @ np.array([1.0, 2.0, 0.5, 0.1])
+    assert np.all(mat.T @ rhs <= 0.0)
+    assert np.array_equal(nonneg_least_squares(mat, rhs), np.zeros(4))
+
+
+def test_nonneg_least_squares_back_tracks_to_a_zero_weight():
+    # The exact solution is reached only by back-tracking from the current
+    # point to the first weight that hits zero; dropping every negative
+    # weight of the subproblem at once ends at residual 2.6 instead.
+    mat = np.array([[0.0, -2, 0, 3], [-3, -3, 3, -2], [3, -3, 1, 2]])
+    x = nonneg_least_squares(mat, np.array([2.0, -3, -3]))
+    assert np.max(np.abs(x - np.array([0.0, 17, 24, 12]))) <= 1e-10

@@ -255,3 +255,54 @@ def test_secrecy_oracle_rejects_empty_grid():
     for grid_points in (0, -5):
         with pytest.raises(ValueError, match="grid_points"):
             secrecy_oracle(ch, grid_points)
+
+
+def sparse_degraded_channels(count, seed=3):
+    """Degraded channels whose map T has zeros: n1 in {2, 3}, |Y| from n1 + 1
+    to 6, |Z| from 2 to 3, Dirichlet columns of W_Y and T, each entry of T
+    zeroed with probability 1/2 (a column that loses every entry keeps its
+    draw), then renormalized."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n1 = int(rng.integers(2, 4))
+        n3 = int(rng.integers(n1 + 1, 7))
+        n2 = int(rng.integers(2, 4))
+        w_y = rng.dirichlet(np.ones(n3), size=n1).T
+        t_map = rng.dirichlet(np.ones(n2), size=n3).T
+        kept = np.where(rng.random(t_map.shape) < 0.5, 0.0, t_map)
+        empty = kept.sum(axis=0) == 0
+        kept[:, empty] = t_map[:, empty]
+        yield degraded_channel(w_y, kept / kept.sum(axis=0))
+
+
+def test_merged_outputs_channel_is_degraded():
+    # Eve sees Bob's outputs 2 and 3 merged, so the map T has zeros: it sits
+    # on the boundary of the nonnegative fit, which the check must reach
+    # exactly rather than stop short of.
+    ch = degraded_channel(np.array([[0.5, 0.1], [0.3, 0.3], [0.2, 0.6]]),
+                          np.array([[1.0, 0, 0], [0, 1, 1]]))
+    ok, residual = check_degraded(ch)
+    assert ok and residual <= 1e-12
+    assert abs(secrecy_capacity(ch).capacity - secrecy_oracle(ch, 400)) <= 1e-5
+
+
+def test_sparse_degraded_channels_are_accepted():
+    for ch in sparse_degraded_channels(60):
+        ok, residual = check_degraded(ch)
+        assert ok and residual <= 1e-12, ch.tensor.shape
+
+
+def test_three_input_oracle_matches_secrecy_capacity():
+    # The secrecy objective of a degraded channel is concave in q, so the
+    # oracle's nested 1-d refinement finds its maximum.
+    rng = np.random.default_rng(9)
+    smallest_weights = []
+    for _ in range(4):
+        n3, n2 = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+        ch = degraded_channel(rng.dirichlet(np.ones(n3), size=3).T,
+                              rng.dirichlet(np.ones(n2), size=n3).T)
+        out = secrecy_capacity(ch)
+        assert abs(secrecy_oracle(ch, 200) - out.capacity) <= 1e-8
+        smallest_weights.append(out.input_distribution.min())
+    # One of the optima leaves an input unused.
+    assert min(smallest_weights) <= 1e-6

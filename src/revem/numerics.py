@@ -240,11 +240,6 @@ def nonneg_least_squares(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     rhs = np.asarray(rhs, dtype=float)
     m, n = mat.shape
-    # A nonnegative unconstrained least-squares point attains the
-    # unconstrained minimum, so it solves the constrained problem too.
-    x = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-    if np.all(x >= 0.0):
-        return x
     tol = 10.0 * _EPS * np.abs(mat).sum(axis=0).max(initial=0.0) * max(m, n)
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)

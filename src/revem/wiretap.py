@@ -7,7 +7,8 @@ nonnegative least squares (``numerics.nonneg_least_squares``, Lawson-Hanson
 active set), so a T with zero entries is reached, not approached.  The
 oracle maximizes on a grid with golden-section refinement: once on [0, 1]
 for two inputs, nested (an outer search over q_1 of the inner maximum over
-its slice) for three.
+its slice) for three, where it is exact for degraded channels and a
+grid lower bound otherwise.
 
 The geometry over X x Z x Y is ``classical.markov_geometry``: its
 exponential family is the Markov-chain distributions P(y|z) P(x,z), its
@@ -21,8 +22,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .classical import (CapacityOutcome, _column_neg_entropies, _divergences,
-                        iterative_outcome, markov_geometry, mutual_information)
+from .classical import (CapacityOutcome, iterative_outcome, markov_geometry,
+                        mutual_information)
 from .errors import InvalidChannelError, NotDegradedError
 from .numerics import maximize_on_unit_interval, nonneg_least_squares
 from .reverse_em import CapacityGeometry
@@ -129,9 +130,13 @@ def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:
     Two inputs: ``maximize_on_unit_interval`` on grid_points + 1 points.
     Three inputs: the same refinement nested, on m + 1 points per level with
     m = max(grid_points // 4, 40), of g(a) = max of the objective over the
-    slice q_1 = a.  The objective of a degraded channel is concave in q, and
-    a partial maximum of a concave function over a convex set is concave,
-    so g is concave and each level's refinement brackets its maximum.
+    slice q_1 = a; each level returns the larger of its refined value and
+    its best grid value, so the result is never below the best point of the
+    (m + 1)^2 grid.  The objective of a degraded channel is concave in q,
+    and a partial maximum of a concave function over a convex set is
+    concave, so g is concave and each level's refinement brackets its
+    maximum.  For a channel that is not degraded the three-input value is
+    only a grid-and-refinement lower bound on the maximum.
     """
     if grid_points < 1:
         raise ValueError(f"grid_points must be at least 1, got {grid_points}")
@@ -141,26 +146,23 @@ def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:
     if n1 == 1:
         return 0.0
 
-    if n1 == 2:
-        def value(q):
-            return secrecy_objective(channel, q)
+    def value(q):
+        return secrecy_objective(channel, q)
 
+    if n1 == 2:
         grid = np.linspace(0.0, 1.0, grid_points + 1)
         return maximize_on_unit_interval(
             lambda s: value(np.array([s, 1 - s])),
             [value(q) for q in np.stack([grid, 1 - grid], axis=1)])
 
-    # The objective as q @ s(q), s the difference of the two classical
-    # divergence vectors, with the column entropies read once.
-    w_y, w_z = channel.bob_marginal(), channel.eve_marginal()
-    neg_y, neg_z = _column_neg_entropies(w_y), _column_neg_entropies(w_z)
     grid = np.linspace(0.0, 1.0, max(grid_points // 4, 40) + 1)
+
+    def refined(f):
+        values = [f(t) for t in grid]
+        return max(max(values), maximize_on_unit_interval(f, values))
 
     def slice_max(a):
         """max of the objective over q = (a, (1 - a) s, (1 - a)(1 - s))."""
-        def on_slice(s):
-            q = np.array([a, (1 - a) * s, (1 - a) * (1 - s)])
-            return float(q @ (_divergences(w_y, neg_y, q) - _divergences(w_z, neg_z, q)))
-        return maximize_on_unit_interval(on_slice, [on_slice(s) for s in grid])
+        return refined(lambda s: value(np.array([a, (1 - a) * s, (1 - a) * (1 - s)])))
 
-    return maximize_on_unit_interval(slice_max, [slice_max(a) for a in grid])
+    return refined(slice_max)

@@ -306,3 +306,19 @@ def test_three_input_oracle_matches_secrecy_capacity():
         smallest_weights.append(out.input_distribution.min())
     # One of the optima leaves an input unused.
     assert min(smallest_weights) <= 1e-6
+
+
+def test_three_input_oracle_is_never_below_its_grid(monkeypatch):
+    # On a channel that is not degraded the refinement may land below the
+    # best grid point; each level then keeps its grid maximum.  With the
+    # refinement stubbed out the oracle is the maximum over the 41 x 41 grid.
+    rng = np.random.default_rng(5)
+    ch = WiretapChannel(np.einsum("zx,yx->xzy", rng.dirichlet(np.ones(2), size=3).T,
+                                  rng.dirichlet(np.ones(3), size=3).T))
+    assert not check_degraded(ch)[0]
+    monkeypatch.setattr("revem.wiretap.maximize_on_unit_interval",
+                        lambda value, grid_values: -np.inf)
+    grid = np.linspace(0.0, 1.0, 41)
+    best = max(secrecy_objective(ch, np.array([a, (1 - a) * s, (1 - a) * (1 - s)]))
+               for a in grid for s in grid)
+    assert secrecy_oracle(ch, 160) == best

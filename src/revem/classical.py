@@ -1,8 +1,8 @@
 """Classical channel capacity: the product split, the one X x Z x Y
 reverse-em geometry (a plain channel is its case |Z| = 1, a wiretap channel
-the general one), the iterative, em and non-iterative outcome assembly
-shared by every channel kind, the negative-support subset recursion, and the
-Blahut-Arimoto oracle.
+the general one), the capacity problem record and the one route table
+(``capacity``) shared by every channel kind, the negative-support subset
+recursion, and the Blahut-Arimoto oracle.
 """
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .bregman import ClassicalSystem, classical_system
-from .errors import DegenerateChannelError, InvalidChannelError
+from .errors import (ConditionViolationError, DegenerateChannelError,
+                     InvalidChannelError)
 from .numerics import kernel_basis
 from .reverse_em import (CapacityGeometry, Split, build_geometry, em_conversion,
                          solve_reverse_em, split_maximizer)
@@ -196,67 +197,78 @@ def build_problem(channel: Channel) -> CapacityGeometry:
     return markov_geometry(channel.matrix.T[:, None, :])
 
 
-def iterative_outcome(geo: CapacityGeometry, objective: Callable[[Array], float],
-                      tol: float) -> CapacityOutcome:
-    """Natural-step reverse-em solve from the uniform input, at
-    ``solve_reverse_em``'s default iteration cap, reported as the raw
-    channel's ``objective`` at the decoded input distribution."""
-    trace = solve_reverse_em(geo.rem, geo.theta_a_uniform, stepper="natural",
-                             tol=tol)
-    q = geo.decode_input(trace.theta_a)
-    return CapacityOutcome(objective(q), q, (), "iterative",
-                           iterations=trace.iterations,
-                           residual=float(trace.fixed_point_residuals[-1]),
-                           converged=trace.converged)
+@dataclass(frozen=True)
+class CapacityProblem:
+    """One channel kind's capacity problem: the raw channel's objective at
+    an input distribution, the reverse-em geometry builder, the
+    non-iterative solve (None when the kind has none) and the oracle.  Each
+    module's ``problem`` builds one per call, from closures that look its
+    solvers up by name when they run."""
+
+    kind: str
+    objective: Callable[[Array], float]
+    geometry: Callable[[], CapacityGeometry]
+    noniterative: Optional[Callable[[], CapacityOutcome]]
+    oracle: Callable[[float], CapacityOutcome]
 
 
-def em_outcome(geo: CapacityGeometry,
-               objective: Callable[[Array], float]) -> CapacityOutcome:
-    """em-conversion solve, reported as ``objective`` at the decoded input
-    distribution; NaN with ``converged=False`` when the auxiliary families
-    do not intersect."""
-    conv = em_conversion(geo.rem)
-    found = conv.intersection_found
-    q = geo.decode_input(conv.theta_a) if found else np.full(geo.rem.k + 1, np.nan)
-    return CapacityOutcome(objective(q) if found else float("nan"), q, (), "em",
-                           iterations=conv.iterations, residual=conv.residual,
-                           converged=found)
+def capacity(problem: CapacityProblem, method: str, tol: float) -> CapacityOutcome:
+    """The capacity of ``problem`` by ``method``, the one table of routes.
+    "iterative" is the natural-step reverse-em solve from the uniform input
+    at ``solve_reverse_em``'s default cap; "em" is em conversion, NaN with
+    ``converged=False`` when the auxiliary families do not intersect; both
+    report the raw objective at the decoded input.  "noniterative" and
+    "oracle" call the kind's own, "ba" is the classical oracle, and a method
+    the kind lacks raises ConditionViolationError before any solve."""
+    if method == "noniterative" and problem.noniterative is not None:
+        return problem.noniterative()
+    if method == "oracle" or (method == "ba" and problem.kind == "classical"):
+        return problem.oracle(tol)
+    if method not in ("iterative", "em"):
+        raise ConditionViolationError(f"method {method!r} not available for {problem.kind}")
+    geo = problem.geometry()
+    if method == "iterative":
+        run = solve_reverse_em(geo.rem, geo.theta_a_uniform, stepper="natural", tol=tol)
+        residual, converged = float(run.fixed_point_residuals[-1]), run.converged
+    else:
+        run = em_conversion(geo.rem)
+        residual, converged = run.residual, run.intersection_found
+    found = run.theta_a is not None
+    q = geo.decode_input(run.theta_a) if found else np.full(geo.rem.k + 1, np.nan)
+    return CapacityOutcome(problem.objective(q) if found else float("nan"), q, (), method,
+                           iterations=run.iterations, residual=residual,
+                           converged=converged)
+
+
+def problem(channel: Channel) -> CapacityProblem:
+    """The capacity problem of a plain channel; its oracle is Blahut-Arimoto."""
+    return CapacityProblem(
+        "classical", lambda q: mutual_information(channel.matrix, q),
+        lambda: build_problem(channel), lambda: capacity_general(channel),
+        lambda tol: blahut_arimoto(channel, tol=tol))
 
 
 def capacity_iterative(channel: Channel, tol: float = 1e-10) -> CapacityOutcome:
     """Reverse-em capacity from the uniform input coordinate (natural step)."""
-    return iterative_outcome(build_problem(channel),
-                             lambda q: mutual_information(channel.matrix, q), tol)
+    return capacity(problem(channel), "iterative", tol)
 
 
-def capacity_em(channel: Channel) -> CapacityOutcome:
-    """em-conversion capacity; NaN and ``converged=False`` on a boundary optimum."""
-    return em_outcome(build_problem(channel),
-                      lambda q: mutual_information(channel.matrix, q))
-
-
-def restrict_inputs(n_inputs: int, input_subset: Optional[Sequence[int]]
-                    ) -> Tuple[Tuple[int, ...], Optional[CapacityOutcome]]:
-    """The checked input subset of a special-case solve (all inputs when
-    None) and, for a single input, its point-mass outcome of capacity 0."""
-    subset = tuple(range(n_inputs) if input_subset is None else map(int, input_subset))
+def subset_outcome(n_inputs: int, input_subset: Optional[Sequence[int]],
+                   split_of: Callable[[list], Split]) -> CapacityOutcome:
+    """Non-iterative candidate on the checked input subset (all inputs when
+    None): capacity 0 for one input, else ``split_maximizer`` of the
+    sub-channel's split ``split_of(subset)`` over all ``n_inputs`` inputs;
+    weights below -NEG_TOL are reported in ``negative_support``."""
+    subset = list(range(n_inputs) if input_subset is None else map(int, input_subset))
     if (not subset or len(set(subset)) != len(subset)
             or any(x < 0 or x >= n_inputs for x in subset)):
         raise InvalidChannelError("input subset must be nonempty distinct valid indices")
-    if len(subset) != 1:
-        return subset, None
-    return subset, CapacityOutcome(0.0, np.eye(n_inputs)[subset[0]], (), "noniterative")
-
-
-def noniterative_outcome(sp: Split, subset: Tuple[int, ...],
-                         n_inputs: int) -> CapacityOutcome:
-    """``split_maximizer`` of the sub-channel on ``subset`` as an outcome
-    over all ``n_inputs`` inputs; weights below -NEG_TOL are reported in
-    ``negative_support``."""
-    sol = split_maximizer(sp)
+    if len(subset) == 1:
+        return CapacityOutcome(0.0, np.eye(n_inputs)[subset[0]], (), "noniterative")
+    sol = split_maximizer(split_of(subset))
     negatives = tuple(x for x, w in zip(subset, sol.weights) if w < -NEG_TOL)
     full_dist = np.zeros(n_inputs)
-    full_dist[list(subset)] = sol.weights
+    full_dist[subset] = sol.weights
     return CapacityOutcome(float(sol.value), full_dist, negatives, "noniterative",
                            residual=sol.residual)
 
@@ -277,11 +289,8 @@ def capacity_special(channel: Channel,
     Linearly dependent restricted columns, or more of them than outputs,
     raise DegenerateChannelError.
     """
-    subset, single = restrict_inputs(channel.n_inputs, input_subset)
-    if single is not None:
-        return single
-    return noniterative_outcome(split(channel.matrix[:, subset]), subset,
-                                channel.n_inputs)
+    return subset_outcome(channel.n_inputs, input_subset,
+                          lambda sub: split(channel.matrix[:, sub]))
 
 
 def subset_recursion(n_inputs: int,

@@ -54,29 +54,8 @@ def _load(args):
 
 
 def _compute(kind: str, method: str, channel, tol: float) -> classical.CapacityOutcome:
-    if kind == "classical":
-        if method == "iterative":
-            return classical.capacity_iterative(channel, tol=tol)
-        if method == "noniterative":
-            return classical.capacity_general(channel)
-        if method in ("ba", "oracle"):
-            return classical.blahut_arimoto(channel, tol=tol)
-        if method == "em":
-            return classical.capacity_em(channel)
-        raise channel_io.ChannelFormatError(f"method {method!r} not available for classical")
-    if kind == "wiretap":
-        if method == "iterative":
-            return wiretap.secrecy_capacity(channel, tol=tol)
-        if method == "oracle":
-            return classical.oracle_outcome(wiretap.secrecy_oracle(channel), channel.n_inputs)
-        raise channel_io.ChannelFormatError(f"method {method!r} not available for wiretap")
-    if method == "iterative":
-        return cq.capacity_cq_iterative(channel, tol=tol)
-    if method == "noniterative":
-        return cq.capacity_cq_noniterative(channel)
-    if method == "oracle":
-        return classical.oracle_outcome(cq.holevo_oracle(channel), channel.n_inputs)
-    raise channel_io.ChannelFormatError(f"method {method!r} not available for cq")
+    module = {"classical": classical, "wiretap": wiretap, "cq": cq}[kind]
+    return classical.capacity(module.problem(channel), method, tol)
 
 
 def run_capacity(args) -> int:

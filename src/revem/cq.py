@@ -1,6 +1,7 @@
 """Classical-quantum channel capacity: Holevo quantity, the geometry over
-block-diagonal classical-quantum states, the iterative solver, and the
-non-iterative method with its boundary-subset recursion.
+block-diagonal classical-quantum states, the capacity problem (``problem``)
+that ``classical.capacity`` solves by every route, and the non-iterative
+method with its boundary-subset recursion.
 """
 from __future__ import annotations
 
@@ -10,9 +11,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bregman import QuantumSystem, quantum_system
-from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome,
-                        iterative_outcome, noniterative_outcome,
-                        restrict_inputs, subset_recursion)
+from .classical import (GEOMETRY_REGULARIZATION, CapacityOutcome, CapacityProblem,
+                        capacity, oracle_outcome, subset_outcome, subset_recursion)
 from .errors import DomainError, InvalidChannelError
 from .numerics import maximize_on_unit_interval
 from .reverse_em import CapacityGeometry, Split, build_geometry
@@ -185,9 +185,17 @@ def build_problem(channel: CQChannel) -> CapacityGeometry:
                           k, np.einsum("mab,ba->m", ops[:n_feat], ops[-1]).real, sp)
 
 
+def problem(channel: CQChannel) -> CapacityProblem:
+    """The Holevo-capacity problem; its oracle is ``holevo_oracle``."""
+    return CapacityProblem(
+        "cq", lambda p: holevo(p, channel), lambda: build_problem(channel),
+        lambda: capacity_cq_noniterative(channel),
+        lambda tol: oracle_outcome(holevo_oracle(channel), channel.n_inputs))
+
+
 def capacity_cq_iterative(channel: CQChannel, tol: float = 1e-10) -> CapacityOutcome:
     """Reverse-em capacity (maximal Holevo quantity) from uniform input."""
-    return iterative_outcome(build_problem(channel), lambda p: holevo(p, channel), tol)
+    return capacity(problem(channel), "iterative", tol)
 
 
 def cq_capacity_special(channel: CQChannel,
@@ -196,11 +204,8 @@ def cq_capacity_special(channel: CQChannel,
     maximizer of the sub-channel, as in ``classical.capacity_special``.
     Negative weights flag a boundary optimum; linearly dependent restricted
     states raise DegenerateChannelError."""
-    subset, single = restrict_inputs(channel.n_inputs, input_subset)
-    if single is not None:
-        return single
-    return noniterative_outcome(split(channel.states[list(subset)]), subset,
-                                channel.n_inputs)
+    return subset_outcome(channel.n_inputs, input_subset,
+                          lambda sub: split(channel.states[sub]))
 
 
 def capacity_cq_noniterative(channel: CQChannel) -> CapacityOutcome:

@@ -1,6 +1,6 @@
 """Degraded wiretap channels: the channel, the degradedness check, the
-secrecy objective, the iterative natural-parameter solver, and a grid
-oracle.
+secrecy objective, the capacity problem (``problem``, which checks
+degradedness for every route), and a grid oracle.
 
 The degradedness check fits a stochastic map T with W_Z = T W_Y by exact
 nonnegative least squares (``numerics.nonneg_least_squares``, Lawson-Hanson
@@ -22,8 +22,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .classical import (CapacityOutcome, iterative_outcome, markov_geometry,
-                        mutual_information)
+from .classical import (CapacityOutcome, CapacityProblem, capacity, markov_geometry,
+                        mutual_information, oracle_outcome)
 from .errors import InvalidChannelError, NotDegradedError
 from .numerics import maximize_on_unit_interval, nonneg_least_squares
 from .reverse_em import CapacityGeometry
@@ -39,8 +39,8 @@ class WiretapChannel:
     """Channel X -> Z x Y; ``tensor[x, z, y]`` = W(z, y | x).
 
     Z is the eavesdropper's alphabet and Y the legitimate receiver's.  Any
-    such channel is accepted; ``secrecy_capacity`` verifies the Markov chain
-    X - Y - Z with ``check_degraded`` before it trusts the secrecy formula.
+    such channel is accepted; ``problem`` verifies the Markov chain X - Y - Z
+    with ``check_degraded`` before any route trusts the secrecy formula.
     """
 
     tensor: Array
@@ -110,18 +110,24 @@ def build_problem(channel: WiretapChannel) -> CapacityGeometry:
     return markov_geometry(channel.tensor)
 
 
-def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10) -> CapacityOutcome:
-    """Secrecy capacity max_q I(X;Y) - I(X;Z) of a degraded wiretap channel.
-
-    Verifies degradedness first (the secrecy formula presumes X - Y - Z),
-    then runs the natural-parameter reverse-em solver from uniform input.
-    """
+def problem(channel: WiretapChannel) -> CapacityProblem:
+    """The secrecy-capacity problem (oracle ``secrecy_oracle``, no
+    non-iterative route); every route presumes X - Y - Z, so a channel that
+    fails ``check_degraded`` raises NotDegradedError here."""
     feasible, residual = check_degraded(channel)
     if not feasible:
         raise NotDegradedError(
             f"channel fails the X-Y-Z degradedness check (residual {residual:.3e})")
-    return iterative_outcome(build_problem(channel),
-                             lambda q: secrecy_objective(channel, q), tol)
+    return CapacityProblem(
+        "wiretap", lambda q: secrecy_objective(channel, q),
+        lambda: build_problem(channel), None,
+        lambda tol: oracle_outcome(secrecy_oracle(channel), channel.n_inputs))
+
+
+def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10) -> CapacityOutcome:
+    """Secrecy capacity max_q I(X;Y) - I(X;Z) of a degraded wiretap channel,
+    by the natural-parameter reverse-em solver from uniform input."""
+    return capacity(problem(channel), "iterative", tol)
 
 
 def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:

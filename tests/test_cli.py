@@ -343,3 +343,39 @@ def test_three_input_wiretap_oracle_command(tmp_path, capsys):
                  "--method", "iterative"]) == 0
     cap_it = float(capsys.readouterr().out.split("capacity: ")[1].split()[0])
     assert abs(cap_it - cap_or) < 1e-6
+
+
+def test_every_wiretap_method_checks_degradedness(tmp_path, capsys):
+    # The same non-degraded channel as in test_validate_ok: the oracle would
+    # otherwise print a value of a secrecy formula that does not apply.
+    bad_tensor = np.einsum("zx,yz->xzy", np.array([[0.95, 0.05], [0.05, 0.95]]),
+                           np.array([[0.7, 0.3], [0.3, 0.7]]))
+    wt = tmp_path / "wt.csv"
+    wt.write_text(format_wiretap(WiretapChannel(bad_tensor)))
+    for method in ("oracle", "iterative"):
+        assert main(["capacity", "--kind", "wiretap", "--in", str(wt),
+                     "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith("error: channel fails the X-Y-Z degradedness check")
+
+
+@pytest.mark.parametrize("kind, method", [("wiretap", "noniterative"),
+                                          ("wiretap", "ba"), ("cq", "ba")])
+def test_unavailable_methods_exit_2(tmp_path, capsys, kind, method):
+    if kind == "wiretap":
+        text = format_wiretap(WiretapChannel(np.einsum(
+            "zy,yx->xzy", np.array([[0.8, 0.3], [0.2, 0.7]]),
+            np.array([[0.9, 0.2], [0.1, 0.8]]))))
+    else:
+        rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
+        text = format_cq(CQChannel(np.array([rho, np.eye(2) / 2])))
+    path = tmp_path / "channel.txt"
+    path.write_text(text)
+    assert main(["capacity", "--kind", kind, "--in", str(path),
+                 "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: method {method!r} not available for {kind}\n"

@@ -3,13 +3,13 @@ import pytest
 from scipy.linalg import block_diag
 
 from revem import reverse_em as rem
-from revem.classical import (GEOMETRY_REGULARIZATION, Channel, capacity_general,
-                             capacity_special)
+from revem.classical import (GEOMETRY_REGULARIZATION, Channel, capacity,
+                             capacity_general, capacity_special)
 from revem.cq import (CQChannel, _observable_basis, _regularize, _state_entropies,
                       build_problem, capacity_cq_iterative,
                       capacity_cq_noniterative, cq_capacity_special,
                       gell_mann_basis, holevo, holevo_batch, holevo_oracle,
-                      split)
+                      problem, split)
 from revem.errors import DegenerateChannelError, InvalidChannelError
 
 
@@ -310,3 +310,41 @@ def test_holevo_batch_matches_holevo(rng):
             p = np.stack([grid, 1 - grid], axis=1)
             expect = [holevo(row, ch) for row in p]
             assert np.max(np.abs(holevo_batch(p, ch) - expect)) <= 1e-12
+
+
+def seeded_cq_channels(count, seed=9):
+    """n1 from 2 to min(4, d^2) states of dimension d in {2, 3}; each state
+    is pure with probability 0.3, otherwise a normalized Ginibre product."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, 4))
+        n1 = int(rng.integers(2, min(4, dim * dim) + 1))
+        states = []
+        for _ in range(n1):
+            if rng.random() < 0.3:
+                v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                states.append(np.outer(v, v.conj()) / (v.conj() @ v).real)
+            else:
+                states.append(random_density(rng, dim))
+        yield CQChannel(np.array(states))
+
+
+def test_em_route_matches_the_oracles_or_reports_no_intersection():
+    # A converged em value agrees with the oracle, and em never claims an
+    # intersection where non_iterative puts the maximum outside the open
+    # simplex.  Channel 9 (two pure qutrit states, optimum (1/2, 1/2)) is
+    # one where em reports converged=False although the maximum is interior.
+    verdicts = []
+    for ch in seeded_cq_channels(10):
+        out = capacity(problem(ch), "em", 1e-10)
+        exists = rem.non_iterative(build_problem(ch).rem).exists
+        if out.converged:
+            ref = (holevo_oracle(ch) if ch.n_inputs == 2
+                   else capacity_cq_noniterative(ch).capacity)
+            assert abs(out.capacity - ref) <= 1e-8
+        else:
+            assert np.isnan(out.capacity)
+        assert exists or not out.converged
+        verdicts.append((out.converged, exists))
+    assert verdicts.count((True, True)) == 3
+    assert verdicts.count((False, False)) == 6

@@ -3,10 +3,11 @@ import pytest
 
 from revem import reverse_em as rem
 from revem import classical
-from revem.classical import Channel, capacity_general, capacity_special, entropy
+from revem.classical import (Channel, capacity, capacity_general, capacity_special,
+                             entropy)
 from revem.errors import InvalidChannelError, NotDegradedError
 from revem.numerics import kernel_basis
-from revem.wiretap import (WiretapChannel, build_problem, check_degraded,
+from revem.wiretap import (WiretapChannel, build_problem, check_degraded, problem,
                            secrecy_capacity, secrecy_objective, secrecy_oracle)
 
 
@@ -322,3 +323,31 @@ def test_three_input_oracle_is_never_below_its_grid(monkeypatch):
     best = max(secrecy_objective(ch, np.array([a, (1 - a) * s, (1 - a) * (1 - s)]))
                for a in grid for s in grid)
     assert secrecy_oracle(ch, 160) == best
+
+
+def test_em_route_converges_exactly_on_interior_optima():
+    # Degraded channels with Dirichlet W_Y and T and no mass floor, so that
+    # some optima leave an input unused: em finds the intersection exactly
+    # when the iterative optimum keeps every weight at least 1e-4, and then
+    # agrees with the grid oracle.
+    rng = np.random.default_rng(9)
+    verdicts = []
+    for _ in range(8):
+        n1 = int(rng.integers(2, 4))
+        n3, n2 = int(rng.integers(n1, 6)), int(rng.integers(2, 4))
+        ch = degraded_channel(rng.dirichlet(np.ones(n3), size=n1).T,
+                              rng.dirichlet(np.ones(n2), size=n3).T)
+        out = capacity(problem(ch), "em", 1e-10)
+        interior = secrecy_capacity(ch).input_distribution.min() >= 1e-4
+        assert out.converged == interior
+        if out.converged:
+            assert abs(out.capacity - secrecy_oracle(ch, 200)) <= 1e-8
+        verdicts.append(out.converged)
+    assert verdicts.count(False) == 2
+
+
+def test_non_degraded_channel_has_no_problem():
+    ch = WiretapChannel(np.einsum("zx,yz->xzy", np.array([[0.95, 0.05], [0.05, 0.95]]),
+                                  np.array([[0.7, 0.3], [0.3, 0.7]])))
+    with pytest.raises(NotDegradedError):
+        problem(ch)

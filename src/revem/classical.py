@@ -6,6 +6,7 @@ recursion, and the Blahut-Arimoto oracle.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -259,10 +260,11 @@ def subset_outcome(n_inputs: int, input_subset: Optional[Sequence[int]],
     None): capacity 0 for one input, else ``split_maximizer`` of the
     sub-channel's split ``split_of(subset)`` over all ``n_inputs`` inputs;
     weights below -NEG_TOL are reported in ``negative_support``."""
-    subset = list(range(n_inputs) if input_subset is None else map(int, input_subset))
-    if (not subset or len(set(subset)) != len(subset)
-            or any(x < 0 or x >= n_inputs for x in subset)):
+    subset = list(range(n_inputs) if input_subset is None else input_subset)
+    if not subset or len(set(subset)) != len(subset) or not all(
+            isinstance(x, numbers.Integral) and 0 <= x < n_inputs for x in subset):
         raise InvalidChannelError("input subset must be nonempty distinct valid indices")
+    subset = [int(x) for x in subset]
     if len(subset) == 1:
         return CapacityOutcome(0.0, np.eye(n_inputs)[subset[0]], (), "noniterative")
     sol = split_maximizer(split_of(subset))
@@ -323,8 +325,6 @@ def subset_recursion(n_inputs: int,
         next_frontier = []
         for removed in frontier:
             sub = tuple(x for x in full if x not in removed)
-            if not sub:
-                continue
             res = ev(sub)
             if not res.negative_support:
                 if best is None or res.capacity > best.capacity:

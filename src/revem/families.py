@@ -97,8 +97,6 @@ def e_projection(sys: BregmanSystem, family: MixtureSubfamily, theta: Array) -> 
     """
     theta = np.asarray(theta, dtype=float)
     dirs = family.basis[:, family.free_count:]
-    if dirs.shape[1] == 0:
-        return theta.copy()
     sub = sys.restrict(dirs, theta)
     try:
         tau = natural_param(sub, family.targets)

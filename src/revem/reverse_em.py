@@ -304,8 +304,10 @@ def em_minimize(sys: BregmanSystem, family_M: MixtureSubfamily,
     Stops unconverged as soon as the mixture iterate leaves the box
     |theta| <= _EM_NORM_GUARD: the families then do not meet and the
     iterates drift off to infinity.  A failed projection raises
-    ProjectionError.
+    ProjectionError; a negative ``max_iter`` raises ValueError.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     theta_e = np.asarray(theta_init, dtype=float)
     gap = np.inf
     converged = False
@@ -398,9 +400,10 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
                          state: Optional[Dict] = None) -> Array:
     """One application of the inverse map computed in natural parameters.
 
-    Requires the identity leading block of the dual matrix; when the
-    exponential potential splits as a product, the inner minimization
-    separates into the two split potentials.
+    Requires the identity leading block of the dual matrix.  Minimizes F_E
+    over the slice {dual_matrix theta_c = theta_a} in the coordinates
+    theta_c[k:]: a ``restrict`` of E_system, or, when the exponential
+    potential splits, F_a restricted to the slice plus F_b.
     """
     if not p.leading_identity_block:
         raise ConditionViolationError("natural step needs the identity leading block")
@@ -412,27 +415,16 @@ def inverse_step_natural(p: ReverseEmProblem, theta_a: Array,
     tb0 = np.zeros(p.l - p.k) if theta_c is None else theta_c[p.k:]
 
     if p.split is not None:
-        sys_a, sys_b = p.split.sys_a, p.split.sys_b
-
-        def fgh(tb):
-            fa, ga, ha = sys_a.value_grad_hess(theta_a - tail @ tb)
-            fb, gb, hb = sys_b.value_grad_hess(tb)
-            return fa + fb, gb - tail.T @ ga, tail.T @ ha @ tail + hb
+        sub = _SumSystem(p.split.sys_a.restrict(-tail, theta_a), p.split.sys_b)
     else:
-        jac = np.vstack([-tail, np.eye(p.l - p.k)])
-
-        def fgh(tb):
-            f, g, h = p.E_system.value_grad_hess(
-                np.concatenate([theta_a - tail @ tb, tb]))
-            return f, jac.T @ g, jac.T @ h @ jac
-
-    res = minimize_fgh(fgh, tb0)
+        sub = p.E_system.restrict(np.vstack([-tail, np.eye(p.l - p.k)]),
+                                  np.concatenate([theta_a, np.zeros(p.l - p.k)]))
+    res = minimize_fgh(sub.value_grad_hess, tb0)
     if not res.converged:
         raise ProjectionError("natural-parameter inner minimization stalled")
-    tb = res.point
     # The E-point of the minimizer is the m-projection of the new iterate.
-    theta_c = np.concatenate([theta_a - tail @ tb, tb])
-    state["theta_c"] = theta_c
+    tb = res.point
+    theta_c = state["theta_c"] = np.concatenate([theta_a - tail @ tb, tb])
     if p.split is not None:
         # The new weights are grad F_a(theta_c[:k]), and F_M is F_a shifted.
         return theta_c[:p.k] - p.m_shift
@@ -494,13 +486,14 @@ def solve_reverse_em(p: ReverseEmProblem, theta_init: Array,
 
 
 class _SumSystem(BregmanSystem):
-    """F_1(a) + F_2(b) with (a, b) = _parts(x); here a = b = x, which is how
-    a slice of a direct sum evaluates: as the sum of its factors' slices."""
+    """F_1(a) + F_2(b) with (a, b) = _parts(x); here a = b = x, of the
+    first system's dimension, which is how a slice of a direct sum or of a
+    split potential evaluates: as the sum of its factors' slices."""
 
-    def __init__(self, first: BregmanSystem, second: BregmanSystem, dim: int):
+    def __init__(self, first: BregmanSystem, second: BregmanSystem):
         self.first = first
         self.second = second
-        super().__init__(dim)
+        super().__init__(first.dim)
 
     def _parts(self, x):
         return x, x
@@ -531,8 +524,9 @@ class _ProductSystem(_SumSystem):
     restrictions, with no block-diagonal assembly."""
 
     def __init__(self, first: BregmanSystem, second: BregmanSystem):
+        super().__init__(first, second)
         self.split_at = first.dim
-        super().__init__(first, second, first.dim + second.dim)
+        self.dim = first.dim + second.dim
 
     def _parts(self, x):
         return x[:self.split_at], x[self.split_at:]
@@ -549,7 +543,7 @@ class _ProductSystem(_SumSystem):
         gens_a, gens_b = self._parts(np.asarray(generators, dtype=float))
         off_a, off_b = self._parts(np.asarray(offset, dtype=float))
         return _SumSystem(self.first.restrict(gens_a, off_a),
-                          self.second.restrict(gens_b, off_b), gens_a.shape[1])
+                          self.second.restrict(gens_b, off_b))
 
 
 def em_conversion(p: ReverseEmProblem, max_iter: int = 20) -> EmConversionResult:
@@ -598,12 +592,13 @@ def _polish_intersection(p: ReverseEmProblem, theta_c: Array) -> Tuple[Array, fl
     its residual norm, which is infinite when a step fails, and the
     equation's Jacobian there."""
     x = np.asarray(theta_c, dtype=float).copy()
+    # F_M on the slice theta_a = dual_matrix theta_c.
+    m_slice = p.M_system.restrict(p.dual_matrix, np.zeros(p.k))
 
     def res_jac(z):
-        _, gm, jm = p.M_system.value_grad_hess(p.dual_matrix @ z)
+        _, gm, jm = m_slice.value_grad_hess(z)
         _, ge, je = p.E_system.value_grad_hess(z)
-        return (p.dual_matrix.T @ gm - ge,
-                p.dual_matrix.T @ jm @ p.dual_matrix - je)
+        return gm - ge, jm - je
 
     r, jac = res_jac(x)
     rnorm = np.linalg.norm(r)
@@ -673,11 +668,8 @@ def split_maximizer(split: Split) -> SplitMaximizer:
     theta_b0, kernel = ln.point, ln.kernel
     theta_b = theta_b0
     if kernel.shape[1]:
-        def fgh(te):
-            f, g, h = split.sys_b.value_grad_hess(theta_b0 + kernel @ te)
-            return f, kernel.T @ g, kernel.T @ h @ kernel
-
-        res = minimize_fgh(fgh, np.zeros(kernel.shape[1]))
+        res = minimize_fgh(split.sys_b.restrict(kernel, theta_b0).value_grad_hess,
+                           np.zeros(kernel.shape[1]))
         if not res.converged:
             raise ProjectionError("split-potential minimization stalled")
         theta_b = theta_b0 + kernel @ res.point

@@ -133,11 +133,12 @@ def secrecy_capacity(channel: WiretapChannel, tol: float = 1e-10) -> CapacityOut
 def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:
     """Grid maximization of I(X;Y) - I(X;Z) with local refinement (n1 <= 3).
 
-    Two inputs: ``maximize_on_unit_interval`` on grid_points + 1 points.
-    Three inputs: the same refinement nested, on m + 1 points per level with
+    One level of ``refined`` returns the larger of a function's best grid
+    value and its ``maximize_on_unit_interval`` refinement, so it is never
+    below its grid.  Two inputs: one level on grid_points + 1 points.
+    Three inputs: two levels nested, on m + 1 points each with
     m = max(grid_points // 4, 40), of g(a) = max of the objective over the
-    slice q_1 = a; each level returns the larger of its refined value and
-    its best grid value, so the result is never below the best point of the
+    slice q_1 = a, so the result is never below the best point of the
     (m + 1)^2 grid.  The objective of a degraded channel is concave in q,
     and a partial maximum of a concave function over a convex set is
     concave, so g is concave and each level's refinement brackets its
@@ -155,20 +156,19 @@ def secrecy_oracle(channel: WiretapChannel, grid_points: int = 200) -> float:
     def value(q):
         return secrecy_objective(channel, q)
 
-    if n1 == 2:
-        grid = np.linspace(0.0, 1.0, grid_points + 1)
-        return maximize_on_unit_interval(
-            lambda s: value(np.array([s, 1 - s])),
-            [value(q) for q in np.stack([grid, 1 - grid], axis=1)])
-
-    grid = np.linspace(0.0, 1.0, max(grid_points // 4, 40) + 1)
-
-    def refined(f):
-        values = [f(t) for t in grid]
+    def refined(f, points):
+        """max(best grid value, refined value) of f on points + 1 grid points."""
+        values = [f(t) for t in np.linspace(0.0, 1.0, points + 1)]
         return max(max(values), maximize_on_unit_interval(f, values))
+
+    if n1 == 2:
+        return refined(lambda s: value(np.array([s, 1 - s])), grid_points)
+
+    m = max(grid_points // 4, 40)
 
     def slice_max(a):
         """max of the objective over q = (a, (1 - a) s, (1 - a)(1 - s))."""
-        return refined(lambda s: value(np.array([a, (1 - a) * s, (1 - a) * (1 - s)])))
+        return refined(
+            lambda s: value(np.array([a, (1 - a) * s, (1 - a) * (1 - s)])), m)
 
-    return refined(slice_max)
+    return refined(slice_max, m)

@@ -189,7 +189,7 @@ def test_capacity_special_typed_errors(rng):
         capacity_special(random_channel(rng, 4, 2))
     # empty, repeated and out-of-range input subsets
     channel = random_channel(rng, 3, 4)
-    for subset in ([], [0, 0], [0, 3], [-1, 1]):
+    for subset in ([], [0, 0], [0, 3], [-1, 1], [0, 1.5]):
         with pytest.raises(InvalidChannelError, match="input subset"):
             capacity_special(channel, subset)
 

@@ -236,7 +236,7 @@ def test_dependent_states_raise_degenerate(rng):
 
 def test_cq_capacity_special_rejects_bad_subsets(rng):
     ch = CQChannel(np.array([random_density(rng, 2) for _ in range(3)]))
-    for subset in ([], [0, 0], [0, 3], [-1, 1]):
+    for subset in ([], [0, 0], [0, 3], [-1, 1], [0, 1.5]):
         with pytest.raises(InvalidChannelError, match="input subset"):
             cq_capacity_special(ch, subset)
 

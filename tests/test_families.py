@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_features
-from revem.bregman import classical_system, divergence
+from revem.bregman import classical_system, divergence, quantum_system
 from revem.errors import InvalidSpecError
 from revem.families import (ExponentialSubfamily, MixtureSubfamily,
                             e_projection, m_projection, pythagorean_residual)
@@ -98,6 +98,17 @@ def test_e_projection_idempotent_constraint_and_optimality(rng):
     for _ in range(200):
         member = e_projection(sys, fam, rng.normal(size=4))
         assert best <= divergence(sys, member, theta) + 1e-9
+
+
+def test_e_projection_without_constraints_is_the_identity(rng):
+    # free_count == d leaves no constraint direction: the generic path
+    # solves on a 0-dimensional restriction and returns theta itself.
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    for sys in (classical_system(random_features(rng, 5, 3)), quantum_system(pauli)):
+        fam = MixtureSubfamily(np.eye(3) + 0.3 * rng.normal(size=(3, 3)), 3, np.zeros(0))
+        theta = rng.normal(size=3)
+        proj = e_projection(sys, fam, theta)
+        assert proj is not theta and np.array_equal(proj, theta)
 
 
 def test_e_projection_bernoulli_symmetry():

@@ -639,6 +639,10 @@ def test_solver_max_iter_bounds():
     p = prob.rem
     with pytest.raises(ValueError, match="max_iter"):
         rem.solve_reverse_em(p, prob.theta_a_uniform, max_iter=-1)
+    with pytest.raises(ValueError, match="max_iter"):
+        rem.em_conversion(bsc_problem(0.1).rem, max_iter=-3)
+    with pytest.raises(ValueError, match="max_iter"):
+        rem.em_minimize(p.sys, p.family_M, p.family_E, np.zeros(p.sys.dim), max_iter=-1)
     # max_iter = 0 evaluates the starting iterate and takes no step.
     start = prob.theta_a_uniform + 0.4
     expected = rem._objective_and_residual(p, start, {})[0]
@@ -647,6 +651,58 @@ def test_solver_max_iter_bounds():
         assert trace.iterations == 0 and not trace.converged
         assert trace.objective_values.tolist() == [trace.capacity] == [expected]
         assert np.array_equal(trace.theta_a, start)
+
+
+def _natural_step_by_chain_rule(p, theta_a, state):
+    """The natural step with F_E's slice {dual_matrix theta_c = theta_a}
+    written out by the chain rule in theta_c[k:], the split and joint
+    closures that ``inverse_step_natural`` replaced by ``restrict``."""
+    tail = p.dual_tail
+    theta_c = state.get("theta_c")
+    tb0 = np.zeros(p.l - p.k) if theta_c is None else theta_c[p.k:]
+    if p.split is not None:
+        sys_a, sys_b = p.split.sys_a, p.split.sys_b
+
+        def fgh(tb):
+            fa, ga, ha = sys_a.value_grad_hess(theta_a - tail @ tb)
+            fb, gb, hb = sys_b.value_grad_hess(tb)
+            return fa + fb, gb - tail.T @ ga, tail.T @ ha @ tail + hb
+    else:
+        jac = np.vstack([-tail, np.eye(p.l - p.k)])
+
+        def fgh(tb):
+            f, g, h = p.E_system.value_grad_hess(
+                np.concatenate([theta_a - tail @ tb, tb]))
+            return f, jac.T @ g, jac.T @ h @ jac
+
+    res = minimize_fgh(fgh, tb0)
+    assert res.converged
+    theta_c = state["theta_c"] = np.concatenate([theta_a - tail @ res.point, res.point])
+    if p.split is not None:
+        return theta_c[:p.k] - p.m_shift
+    eta_a = p.E_system.gradient(theta_c)[:p.k]
+    return p.m_inverse(np.append(eta_a, 1.0 - eta_a.sum()))
+
+
+def test_natural_step_matches_the_chain_rule_reference(rng):
+    # Restricting F_E (or F_a on a split) to the slice gives the same step
+    # as the hand-written chain rule: ten steps along the reference's path
+    # on classical, cq and |Z| = 2 wiretap geometries, and on chan1 with an
+    # exact zero (t = 0) and with a boundary optimum (t = 0.76), each step
+    # from the same iterate and state.
+    geos = [build_problem(random_channel(rng, 3, 4)), build_problem(chan1(0.0)),
+            build_problem(chan1(0.76)), cq.build_problem(_random_cq(rng, 3, 2)),
+            _geometries_of_every_kind(rng)[2], _degraded_wiretap_problem()]
+    assert {geo.rem.split is None for geo in geos} == {True, False}
+    for geo in geos:
+        p = geo.rem
+        theta_a, state = geo.theta_a_uniform, {}
+        for _ in range(10):
+            got_state = dict(state)
+            got = rem.inverse_step_natural(p, theta_a, got_state)
+            theta_a = _natural_step_by_chain_rule(p, theta_a, state)
+            assert np.max(np.abs(got - theta_a)) <= 1e-13
+            assert np.max(np.abs(got_state["theta_c"] - state["theta_c"])) <= 1e-13
 
 
 def _ambient_divergence(p, theta_a, theta_c):
